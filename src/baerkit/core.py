@@ -8,7 +8,8 @@ search from the identity), so a*b is computed by following b's word
 through the columns starting at a.  Memory stays O(size * generators);
 no full multiplication table is ever built.
 
-Subgroups are plain element sets with a remembered generating list.
+Subgroups are plain element sets with a remembered generating list;
+closures are grown one right coset at a time (Dimino's algorithm).
 The functions below (normal closures, central series, quotients, direct
 products, Sylow parts, ...) all work on these two types.
 """
@@ -451,139 +452,76 @@ class Subgroup:
             raise GroupError("element set is not closed under multiplication")
         return cls(group, elemset, builder.gens)
 
-    def as_group(self) -> tuple[ConcreteGroup, tuple[int, ...]]:
-        """This subgroup as a group of its own.
-
-        Returns (H, to_parent) where to_parent maps H's element indices
-        back to indices in the parent group.  H's generators are this
-        subgroup's generating list (whole-group generators if empty).
-        """
-        gens = list(self.gens) or [0]
-        local = {e: i for i, e in enumerate(self.elements)}
-        cols = []
-        for g in gens:
-            word = self.group.rep_word[g]
-            fwd = []
-            for e in self.elements:
-                c = e
-                for l in word:
-                    c = self.group.cols[l][c]
-                fwd.append(local[c])
-            back = [0] * self.size
-            for i, v in enumerate(fwd):
-                back[v] = i
-            cols.append(fwd)
-            cols.append(back)
-        names = tuple(f"s{i}" for i in range(len(gens)))
-        pres = GroupPresentation(names, ())
-        sub = ConcreteGroup(cols, presentation=pres, gen_names=names)
-        return sub, self.elements
-
 
 class _ClosureBuilder:
     """Grows the closure of a generating list one generator at a time.
 
-    Generators already inside the running closure are dropped, which keeps
-    generating lists short (at most log2 of the subgroup order additions).
-    Adding a generator extends the existing orbit rather than recomputing
-    it: the old elements only need the new generator applied to them, and
-    anything new then gets the full generator list.  On large groups the
-    frontier expansion runs as vectorized column lookups.
+    This is Dimino's algorithm.  The closed subgroup H is kept as a list
+    of its elements, with membership marked in a bytearray.  Generators
+    already inside H are dropped, which keeps generating lists short (at
+    most log2 of the subgroup order additions).  The first generator is closed by powering.  Adjoining a
+    later generator grows H to <H, g> by whole right cosets: the list
+    holds H and then each new coset H*t, stored contiguously and led by
+    its representative t.  For every representative r and every generator
+    s, only the single element t = r*s is walked; if t is unmarked, the
+    coset H*t is added as (H*r)*s by walking s over the stored coset H*r.
+    The closure is complete once the representatives are closed under
+    every generator.  Generators are walked as lists of letter columns.
     """
-
-    _NUMPY_MIN = 2048
 
     def __init__(self, group: ConcreteGroup):
         self.group = group
         self.gens: list[int] = []
-        self._words: list[bytes] = []
-        if group.size >= self._NUMPY_MIN:
-            import numpy as np
-
-            self._visited = np.zeros(group.size, dtype=bool)
-            self._visited[0] = True
-            self._count = 1
-            self._elems = None
-        else:
-            self._elems = {0}
-            self._visited = None
+        self._walks: list[list[list[int]]] = []
+        self._elems = [0]
+        self._mark = bytearray(group.size)
+        self._mark[0] = 1
 
     def __contains__(self, e: int) -> bool:
-        if self._elems is not None:
-            return e in self._elems
-        return bool(self._visited[e])
+        return bool(self._mark[e])
 
     @property
     def size(self) -> int:
-        return len(self._elems) if self._elems is not None else self._count
+        return len(self._elems)
 
     def add(self, g: int) -> bool:
         """Adjoin g as a generator; False if it was already inside."""
-        if g in self:
+        mark = self._mark
+        if mark[g]:
             return False
-        word = self.group.rep_word[g]
-        self.gens.append(g)
-        self._words.append(word)
-        if self._elems is not None:
-            self._expand_small(word)
-        else:
-            self._expand_np(word)
-        return True
-
-    def _expand_small(self, new_word: bytes) -> None:
         cols = self.group.cols
         elems = self._elems
-        frontier = []
-        for e in list(elems):
-            c = e
-            for l in new_word:
-                c = cols[l][c]
-            if c not in elems:
-                elems.add(c)
-                frontier.append(c)
-        i = 0
-        while i < len(frontier):
-            e = frontier[i]
-            i += 1
-            for w in self._words:
-                c = e
-                for l in w:
-                    c = cols[l][c]
-                if c not in elems:
-                    elems.add(c)
-                    frontier.append(c)
-
-    def _expand_np(self, new_word: bytes) -> None:
-        import numpy as np
-
-        npcols = self.group._npcols()
-        visited = self._visited
-        arr = np.flatnonzero(visited)
-        for l in new_word:
-            arr = npcols[l][arr]
-        arr = np.unique(arr)
-        frontier = arr[~visited[arr]]
-        visited[frontier] = True
-        self._count += int(frontier.size)
-        while frontier.size:
-            images = []
-            for w in self._words:
-                arr = frontier
-                for l in w:
-                    arr = npcols[l][arr]
-                images.append(arr)
-            cand = np.unique(np.concatenate(images))
-            new = cand[~visited[cand]]
-            visited[new] = True
-            self._count += int(new.size)
-            frontier = new
+        walk = [cols[l] for l in self.group.rep_word[g]]
+        self.gens.append(g)
+        self._walks.append(walk)
+        m = len(elems)
+        if m == 1:
+            t = g
+            while not mark[t]:
+                mark[t] = 1
+                elems.append(t)
+                for col in walk:
+                    t = col[t]
+            return True
+        start = 0
+        while start < len(elems):
+            r = elems[start]
+            for s in self._walks:
+                t = r
+                for col in s:
+                    t = col[t]
+                if mark[t]:
+                    continue
+                for x in elems[start:start + m]:
+                    for col in s:
+                        x = col[x]
+                    mark[x] = 1
+                    elems.append(x)
+            start += m
+        return True
 
     def elements(self) -> list[int]:
-        if self._elems is not None:
-            return sorted(self._elems)
-        import numpy as np
-
-        return np.flatnonzero(self._visited).tolist()
+        return sorted(self._elems)
 
 
 def _closure(group: ConcreteGroup, gens) -> list[int]:

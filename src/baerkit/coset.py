@@ -59,19 +59,6 @@ class CosetTable:
     cols: list[list[int]]
     coset_count: int
 
-    def letter_of(self, gen: str, sign: int = 1) -> int:
-        i = self.presentation.generators.index(gen)
-        return 2 * i + (0 if sign > 0 else 1)
-
-    def trace(self, start: int, w: Word) -> int:
-        """Follow a word through the table from the given coset."""
-        c = start
-        for g, e in free_reduce(w).syllables:
-            l = self.letter_of(g, e)
-            for _ in range(abs(e)):
-                c = self.cols[l][c]
-        return c
-
 
 def _letters(w: Word, gen_col: dict[str, int]) -> list[int]:
     out: list[int] = []

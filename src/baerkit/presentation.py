@@ -30,6 +30,10 @@ __all__ = [
 
 GEN_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+# The parser recurses once per open bracket; deeper input is rejected
+# with a PresentationError long before Python's recursion limit.
+MAX_NESTING = 100
+
 
 class PresentationError(ValueError):
     """Raised for malformed presentation text or inconsistent words."""
@@ -175,6 +179,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.generators = generators
 
     def peek(self):
@@ -227,19 +232,28 @@ class _Parser:
                 return Word()
             raise PresentationError(f"unexpected number {val!r}", pos)
         if val == "(":
-            inner = self.word()
+            inner = self.nested_word(pos)
             self.expect(")")
             return inner
         if val == "[":
-            parts = [self.word()]
+            parts = [self.nested_word(pos)]
             while self.peek()[1] == ",":
                 self.next()
-                parts.append(self.word())
+                parts.append(self.nested_word(pos))
             self.expect("]")
             if len(parts) < 2:
                 raise PresentationError("commutator needs at least two arguments", pos)
             return commutator_word(*parts)
         raise PresentationError(f"unexpected {val or 'end of input'!r}", pos)
+
+    def nested_word(self, pos: int) -> Word:
+        """A word inside the bracket opened at pos, with the depth capped."""
+        if self.depth >= MAX_NESTING:
+            raise PresentationError(f"brackets nested deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        inner = self.word()
+        self.depth -= 1
+        return inner
 
     # relation := word ("=" word)*
     def relation(self) -> list[Word]:

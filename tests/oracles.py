@@ -137,6 +137,21 @@ def naive_closure(g, gens):
     return frozenset(elems)
 
 
+def naive_normal_closure(g, gens, conjugators):
+    """Smallest subgroup containing gens and closed under conjugation by
+    every element of conjugators: adjoin one outside conjugate at a time."""
+    gens = list(gens)
+    elems = naive_closure(g, gens)
+    while True:
+        outside = next(
+            (c for x in sorted(elems) for k in conjugators
+             if (c := naive_conj(g, x, k)) not in elems), None)
+        if outside is None:
+            return elems
+        gens.append(outside)
+        elems = naive_closure(g, gens)
+
+
 def naive_center(g):
     return frozenset(
         a for a in range(g.size)

@@ -187,3 +187,14 @@ def test_unknown_flag_exits_with_input_error():
 def test_missing_command_exits_with_input_error():
     out = run_cli()
     assert out.returncode == 1
+
+
+def test_deeply_nested_presentation_is_a_clean_input_error(tmp_path):
+    path = tmp_path / "deep.txt"
+    path.write_text("gens: a; rels: " + "(" * 1500 + "a" + ")" * 1500 + "\n")
+    out = run_cli("analyze", str(path))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:")
+    assert "nested deeper than" in out.stderr
+    assert "Traceback" not in out.stderr

@@ -1,0 +1,89 @@
+"""Subgroup closure against the naive oracle closure.
+
+D16 and S4 are small groups; class3_p5 (order 15,625) is large.  Every
+generating list is seeded and padded with redundant generators (the
+identity, a repeat, and the product of two of them), so the
+closure has to drop generators that are already inside it.
+"""
+
+import random
+
+import pytest
+
+from baerkit.core import GroupError, Subgroup, _ClosureBuilder, normal_closure
+
+from oracles import naive_closure, naive_normal_closure
+
+CASES = [("d16", 8), ("s4", 8), ("class3_p5", 3)]
+
+
+def _gen_lists(group, seed, count):
+    rng = random.Random(seed)
+    lists = []
+    for _ in range(count):
+        gens = [rng.randrange(1, group.size) for _ in range(rng.randint(1, 3))]
+        gens += [0, gens[0], group.mult(gens[0], gens[-1])]
+        rng.shuffle(gens)
+        lists.append(gens)
+    return lists
+
+
+def _running_gens(group, gens):
+    """The generators that lay outside the closure of those kept so far."""
+    kept, closed = [], frozenset([0])
+    for g in gens:
+        if g not in closed:
+            kept.append(g)
+            closed = naive_closure(group, kept)
+    return kept, closed
+
+
+@pytest.mark.parametrize("name,count", CASES)
+def test_generated_matches_naive_closure(request, name, count):
+    group = request.getfixturevalue(name)
+    for gens in _gen_lists(group, f"generated:{name}", count):
+        sub = Subgroup.generated(group, gens)
+        assert sub.elemset == naive_closure(group, gens)
+        assert list(sub.elements) == sorted(sub.elemset)
+        assert sub.gens == tuple(gens)
+
+
+@pytest.mark.parametrize("name,count", CASES)
+def test_builder_keeps_only_generators_outside_the_closure(request, name, count):
+    group = request.getfixturevalue(name)
+    for gens in _gen_lists(group, f"builder:{name}", count):
+        builder = _ClosureBuilder(group)
+        added = [builder.add(g) for g in gens]
+        kept, closed = _running_gens(group, gens)
+        assert builder.gens == kept
+        assert added.count(True) == len(kept)
+        assert builder.size == len(closed)
+        assert builder.elements() == sorted(closed)
+        assert all((e in builder) == (e in closed) for e in range(group.size))
+
+
+@pytest.mark.parametrize("name,count", CASES)
+def test_normal_closure_matches_naive(request, name, count):
+    group = request.getfixturevalue(name)
+    if group.size <= 64:
+        conjugators = range(group.size)
+    else:
+        conjugators = group.generator_elements()
+    for gens in _gen_lists(group, f"normal:{name}", count):
+        h = Subgroup.generated(group, gens)
+        n = normal_closure(h, group)
+        assert n.elemset == naive_normal_closure(group, gens, conjugators)
+        assert naive_closure(group, n.gens) == n.elemset
+
+
+def test_from_elements_in_large_group(class3_p5):
+    group = class3_p5
+    x, y = group.generator_elements()
+    h = Subgroup.generated(group, [x, group.comm(x, y)])
+    again = Subgroup.from_elements(group, h.elements)
+    assert again.elemset == h.elemset
+    assert naive_closure(group, again.gens) == h.elemset
+    with pytest.raises(GroupError):
+        Subgroup.from_elements(group, [0, x])
+    with pytest.raises(GroupError):
+        Subgroup.from_elements(group, list(h.elements) + [y])

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from baerkit.presentation import (
+    MAX_NESTING,
     GroupPresentation,
     PresentationError,
     Word,
@@ -156,3 +157,17 @@ def test_parse_word_rejects_empty_and_trailing():
         parse_word("", ("x",))
     with pytest.raises(PresentationError):
         parse_word("x )", ("x",))
+
+
+def test_nesting_depth_is_capped():
+    deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert parse_presentation(f"gens: a; rels: {deepest}^2").relators == (word("a", 2),)
+    for bad in [
+        "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1),
+        "[" * (MAX_NESTING + 1) + "a" + ",a]" * (MAX_NESTING + 1),
+        "(" * 5000 + "a",
+    ]:
+        with pytest.raises(PresentationError, match="nested deeper than"):
+            parse_presentation(f"gens: a; rels: {bad}")
+        with pytest.raises(PresentationError, match="nested deeper than"):
+            parse_word(bad, ("a",))
