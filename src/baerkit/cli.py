@@ -19,7 +19,12 @@ from .coset import DEFAULT_MAX_COSETS, EnumerationLimitError, enumerate_cosets, 
 from .engel import DEFAULT_EXHAUSTIVE_THRESHOLD
 from .presentation import PresentationError, parse_presentation, parse_word
 from .subnormal import DEFAULT_CAP, classify, cyclic_defect
-from .verify import parse_corpus_text, run_example_checks, run_full_suite
+from .verify import (
+    parse_corpus_text,
+    run_example_checks,
+    run_full_suite,
+    suite_config,
+)
 
 __all__ = ["main"]
 
@@ -68,7 +73,11 @@ def _make_parser() -> _Parser:
                         metavar="N", help="longest subnormal chain searched")
     common.add_argument("--exhaustive-threshold", type=_positive,
                         default=DEFAULT_EXHAUSTIVE_THRESHOLD, metavar="N",
-                        help="largest group order checked exhaustively")
+                        help="largest group order checked element by element "
+                             "by congruence-subnormality and "
+                             "cyclic-closure-class, and on all pairs by the "
+                             "Engel tests of odd-p-class-three and "
+                             "solubility-and-engel")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks (default: 0)")
 
@@ -111,14 +120,8 @@ def _make_parser() -> _Parser:
 
 
 def _config_dict(args) -> dict:
-    return {
-        "seed": args.seed,
-        "limits": {
-            "max_cosets": args.max_cosets,
-            "defect_cap": args.defect_cap,
-            "exhaustive_threshold": args.exhaustive_threshold,
-        },
-    }
+    return suite_config(args.seed, args.max_cosets, args.defect_cap,
+                        args.exhaustive_threshold)
 
 
 def _print_json(obj) -> None:

@@ -16,7 +16,6 @@ products, Sylow parts, ...) all work on these two types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .presentation import GroupPresentation, Word, free_reduce
@@ -24,7 +23,6 @@ from .presentation import GroupPresentation, Word, free_reduce
 __all__ = [
     "GroupError",
     "ConcreteGroup",
-    "Element",
     "Subgroup",
     "normal_closure",
     "is_normal_in",
@@ -132,9 +130,12 @@ class ConcreteGroup:
     def inv_array(self) -> list[int]:
         inv = self._cache.get("inv")
         if inv is None:
+            # (parent * letter)^-1 = letter^-1 * parent^-1
+            left = [self.left_mult_perm(self.cols[l ^ 1][0])
+                    for l in range(len(self.cols))]
             inv = [0] * self.size
             for child, par, l in self._bfs_edges:
-                inv[child] = self.letter_left_perm(l ^ 1)[inv[par]]
+                inv[child] = left[l][inv[par]]
             self._cache["inv"] = inv
         return inv
 
@@ -193,15 +194,6 @@ class ConcreteGroup:
 
     # -- bulk permutation helpers -------------------------------------------
 
-    def letter_left_perm(self, l: int) -> list[int]:
-        """Left multiplication by the element of a single letter."""
-        perms = self._cache.setdefault("letter_left", {})
-        lam = perms.get(l)
-        if lam is None:
-            lam = self.left_mult_perm(self.cols[l][0])
-            perms[l] = lam
-        return lam
-
     def left_mult_perm(self, g: int) -> list[int]:
         """The permutation e -> g*e, computed in one BFS sweep."""
         lam = [0] * self.size
@@ -229,13 +221,9 @@ class ConcreteGroup:
             cur = npcols[l][cur]
         return cur
 
-    def right_mult_perm(self, g: int) -> list[int]:
-        """The permutation e -> e*g."""
-        return self._right_mult_np(g).tolist()
-
     def conj_perm(self, g: int) -> list[int]:
         """The permutation e -> g^-1*e*g."""
-        rho = self.right_mult_perm(g)
+        rho = self._right_mult_np(g).tolist()
         lam = self.left_mult_perm(self.inv(g))
         return [lam[x] for x in rho]
 
@@ -345,42 +333,6 @@ class ConcreteGroup:
         return f"<ConcreteGroup{label} of order {self.size}>"
 
 
-@dataclass(frozen=True)
-class Element:
-    """An element reference; operations refuse to mix groups."""
-
-    group: ConcreteGroup
-    index: int
-
-    def _same(self, other: "Element"):
-        if self.group is not other.group:
-            raise GroupError("elements belong to different groups")
-
-    def __mul__(self, other: "Element") -> "Element":
-        self._same(other)
-        return Element(self.group, self.group.mult(self.index, other.index))
-
-    def inverse(self) -> "Element":
-        return Element(self.group, self.group.inv(self.index))
-
-    def __pow__(self, k: int) -> "Element":
-        return Element(self.group, self.group.power(self.index, k))
-
-    def conjugate(self, by: "Element") -> "Element":
-        self._same(by)
-        return Element(self.group, self.group.conj(self.index, by.index))
-
-    def commutator(self, other: "Element") -> "Element":
-        self._same(other)
-        return Element(self.group, self.group.comm(self.index, other.index))
-
-    def order(self) -> int:
-        return self.group.element_order(self.index)
-
-    def word(self) -> Word:
-        return self.group.element_word(self.index)
-
-
 class Subgroup:
     """A subgroup: closed element set plus the generators that produced it."""
 
@@ -422,7 +374,7 @@ class Subgroup:
 
     @classmethod
     def generated(cls, group: ConcreteGroup, gens) -> "Subgroup":
-        gens = [g.index if isinstance(g, Element) else g for g in gens]
+        gens = list(gens)
         elems = _closure(group, gens)
         return cls(group, elems, gens)
 
@@ -687,7 +639,6 @@ def upper_central_series(group: ConcreteGroup) -> list[Subgroup]:
 
 
 def centralizer(group: ConcreteGroup, elements) -> Subgroup:
-    elements = [e.index if isinstance(e, Element) else e for e in elements]
     keep = range(group.size)
     for x in elements:
         sigma = group.conj_perm(x)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import numpy as np
 
@@ -41,9 +42,22 @@ __all__ = [
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 2048
 
-# Identity checks enumerate every input tuple when the full enumeration
-# stays below this many evaluations; above it they sample.
 _EXHAUSTIVE_EVALS = 20_000
+
+
+def _inputs(rng: random.Random, pools, trials: int,
+            limit: int) -> tuple[list[tuple], str]:
+    """The input tuples an identity check runs on, and its mode.
+
+    Every tuple of the product of the pools ("exhaustive") when there
+    are at most `limit` of them; otherwise `trials` tuples whose entries
+    are drawn from their pools in order with `rng.choice` ("sampled").
+    Pools are sequences, so a pool `range(n)` draws what
+    `rng.randrange(n)` would."""
+    if prod(len(pool) for pool in pools) <= limit:
+        return list(product(*pools)), "exhaustive"
+    return [tuple(rng.choice(pool) for pool in pools)
+            for _ in range(trials)], "sampled"
 
 
 @dataclass(frozen=True)
@@ -225,20 +239,12 @@ def check_metabelian_identities(
     if not is_metabelian(group):
         raise GroupError("group is not metabelian; these identities need not hold")
     rng = random.Random(seed)
-    size = group.size
     checks: list[IdentityCheck] = []
     derived = derived_subgroup(group).elements
 
-    total = len(derived) * size * size
-    if total <= _EXHAUSTIVE_EVALS:
-        triples = [(c, x, y) for c in derived for x in range(size) for y in range(size)]
-        mode = "exhaustive"
-    else:
-        triples = [
-            (rng.choice(derived), rng.randrange(size), rng.randrange(size))
-            for _ in range(trials)
-        ]
-        mode = "sampled"
+    elems = range(group.size)
+    triples, mode = _inputs(rng, (derived, elems, elems), trials,
+                            _EXHAUSTIVE_EVALS)
     witness = None
     for c, x, y in triples:
         lhs = group.comm(group.comm(c, x), y)
@@ -250,22 +256,8 @@ def check_metabelian_identities(
         IdentityCheck("swap-entries-after-first", witness is None, mode, len(triples), witness)
     )
 
-    total = size ** 3 * len(engel_ns)
-    if total <= _EXHAUSTIVE_EVALS:
-        quads = [
-            (x, y, z, n)
-            for x in range(size)
-            for y in range(size)
-            for z in range(size)
-            for n in engel_ns
-        ]
-        mode = "exhaustive"
-    else:
-        quads = [
-            (rng.randrange(size), rng.randrange(size), rng.randrange(size), rng.choice(engel_ns))
-            for _ in range(trials)
-        ]
-        mode = "sampled"
+    quads, mode = _inputs(rng, (elems, elems, elems, engel_ns), trials,
+                          _EXHAUSTIVE_EVALS)
     witness = None
     for x, y, z, n in quads:
         lhs = engel_bracket(group, group.mult(x, y), z, n)
@@ -291,22 +283,8 @@ def check_metabelian_identities(
         )
         return checks
     exps = (-2, -1, 2, 3, 5)
-    total = size ** 3 * len(exps)
-    if total <= _EXHAUSTIVE_EVALS:
-        cases = [
-            (x, y, z, m)
-            for x in range(size)
-            for y in range(size)
-            for z in range(size)
-            for m in exps
-        ]
-        mode = "exhaustive"
-    else:
-        cases = [
-            (rng.randrange(size), rng.randrange(size), rng.randrange(size), rng.choice(exps))
-            for _ in range(trials)
-        ]
-        mode = "sampled"
+    cases, mode = _inputs(rng, (elems, elems, elems, exps), trials,
+                          _EXHAUSTIVE_EVALS)
     witness = None
     for x, y, z, m in cases:
         want = group.power(group.comm(group.comm(x, y), z), m)
@@ -372,14 +350,9 @@ def check_expansion_formula(
     """
     if not is_metabelian(group):
         raise GroupError("group is not metabelian; the expansion needs not hold")
-    rng = random.Random(seed)
-    size = group.size
-    if size <= exhaustive_order_bound:
-        pairs = [(x, y) for x in range(size) for y in range(size)]
-        mode = "exhaustive"
-    else:
-        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(trials)]
-        mode = "sampled"
+    elems = range(group.size)
+    pairs, mode = _inputs(random.Random(seed), (elems, elems), trials,
+                          exhaustive_order_bound ** 2)
     checks = []
     for n in n_values:
         witness = None

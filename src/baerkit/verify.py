@@ -35,17 +35,13 @@ from .core import (
 from .coset import DEFAULT_MAX_COSETS, enumerate_cosets, to_group
 from .engel import (
     DEFAULT_EXHAUSTIVE_THRESHOLD,
+    _inputs,
     check_expansion_formula,
     check_metabelian_identities,
     is_left_n_engel,
     is_n_engel_group,
 )
-from .presentation import (
-    GroupPresentation,
-    PresentationError,
-    commutator_word,
-    parse_presentation,
-)
+from .presentation import PresentationError, parse_presentation
 from .subnormal import (
     DEFAULT_CAP,
     GENERALIZED_T2,
@@ -88,6 +84,7 @@ __all__ = [
     "default_corpus",
     "run_full_suite",
     "run_example_checks",
+    "suite_config",
 ]
 
 PASS = "pass"
@@ -191,56 +188,23 @@ def build_group(text: str, name: str = "",
 _BUILD_MEMO: dict[tuple, ConcreteGroup] = {}
 
 
-def _metabelian_relators(pres: GroupPresentation) -> list:
-    """Relators [c, c^g] forcing every generator commutator to commute with
-    all of its conjugates, i.e. forcing the derived subgroup abelian once the
-    commutators of generators generate it."""
-    gens = pres.generators
-    rels = []
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            c = commutator_word(a, b)
-            for g in gens:
-                rels.append(commutator_word(c, c.conjugate_by(g)))
-    return rels
-
-
-def _build_expected(name: str, text: str, expected_order: int,
-                    max_cosets: int, *, expected: dict, family: str,
-                    prime: int) -> ConcreteGroup:
-    """Build a benchmark group, recording whether the presentation already
-    pinned down the intended finite group or needed metabelian closure
-    relators adjoined to cut it down to the expected order."""
+def _build_expected(name: str, text: str, max_cosets: int, *,
+                    expected: dict, family: str, prime: int) -> ConcreteGroup:
+    """Build a benchmark group and record its family, its prime and the
+    invariants its construction promises."""
     key = ("expected", name, max_cosets)
     memo = _BUILD_MEMO.get(key)
-    if memo is not None:
-        return memo
-    pres = parse_presentation(text)
-    table = enumerate_cosets(pres, max_cosets=max_cosets)
-    construction = "as-written"
-    order_as_written = table.coset_count
-    if order_as_written != expected_order:
-        extra = _metabelian_relators(pres)
-        pres = GroupPresentation(pres.generators,
-                                 pres.relators + tuple(extra))
-        table = enumerate_cosets(pres, max_cosets=max_cosets)
-        construction = "commutator-relators-adjoined"
-    group = to_group(table)
-    group.meta.update({
-        "name": name,
-        "family": family,
-        "prime": prime,
-        "construction": construction,
-        "order_as_written": order_as_written,
-        "expected": dict(expected),
-    })
-    _BUILD_MEMO[key] = group
-    return group
+    if memo is None:
+        memo = build_group(text, name=name, max_cosets=max_cosets)
+        memo.meta.update({"family": family, "prime": prime,
+                          "expected": dict(expected)})
+        _BUILD_MEMO[key] = memo
+    return memo
 
 
 def build_class4_2group(max_cosets: int = DEFAULT_MAX_COSETS) -> ConcreteGroup:
     return _build_expected(
-        "class4-2group", class4_2group_presentation(), 128, max_cosets,
+        "class4-2group", class4_2group_presentation(), max_cosets,
         expected={"order": 128, "class": 4, "derived_length": 2,
                   "t2_order": 64, "classification": GENERALIZED_T2},
         family="class4", prime=2)
@@ -250,7 +214,7 @@ def build_class3_p_group(p: int,
                          max_cosets: int = DEFAULT_MAX_COSETS) -> ConcreteGroup:
     n = p ** 6
     return _build_expected(
-        f"class3-p{p}", class3_p_group_presentation(p), n, max_cosets,
+        f"class3-p{p}", class3_p_group_presentation(p), max_cosets,
         expected={"order": n, "class": 3, "derived_length": 2,
                   "t2_order": p ** 5, "classification": GENERALIZED_T2},
         family="class3", prime=p)
@@ -312,12 +276,7 @@ def check_expected_invariants(group: ConcreteGroup, *,
     }
     mismatches = {k: {"expected": v, "got": got[k]}
                   for k, v in expected.items() if got[k] != v}
-    details = {
-        "expected": dict(expected),
-        "got": got,
-        "construction": group.meta.get("construction", "as-written"),
-        "order_as_written": group.meta.get("order_as_written", report.order),
-    }
+    details = {"expected": dict(expected), "got": got}
     if mismatches:
         details["mismatches"] = mismatches
     return _verdict(cid, not mismatches, details)
@@ -496,13 +455,8 @@ def check_generated_subgroup_class(
     counts = {}
     for d in ds:
         bound = 2 * (d + 1)
-        if group.size ** d <= exhaustive_evals:
-            tuples = _all_tuples(group.size, d)
-            mode = "exhaustive"
-        else:
-            tuples = [tuple(rng.randrange(group.size) for _ in range(d))
-                      for _ in range(trials)]
-            mode = "sampled"
+        tuples, mode = _inputs(rng, (range(group.size),) * d, trials,
+                               exhaustive_evals)
         for gens in tuples:
             sub = Subgroup.generated(group, list(gens))
             cls = nilpotency_class(sub)
@@ -514,13 +468,6 @@ def check_generated_subgroup_class(
                                 witness=words)
         counts[str(d)] = {"bound": bound, "count": len(tuples), "mode": mode}
     return _verdict(cid, True, {"per_d": counts, "seed": seed})
-
-
-def _all_tuples(size: int, d: int) -> list[tuple[int, ...]]:
-    tuples = [()]
-    for _ in range(d):
-        tuples = [t + (g,) for t in tuples for g in range(size)]
-    return tuples
 
 
 def check_metabelian_identity_suite(
@@ -570,8 +517,9 @@ def check_expansion(group: ConcreteGroup, *, seed: int = 0,
     return _verdict(cid, True, details)
 
 
-def check_odd_p_metabelian_class(group: ConcreteGroup, *,
-                                 cap: int = DEFAULT_CAP) -> TheoremCheck:
+def check_odd_p_metabelian_class(
+        group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
+        exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD) -> TheoremCheck:
     """Metabelian p-groups with proper nontrivial T_2 have class exactly 3
     when p is odd; for p = 2 the class bound genuinely fails, so the check
     records the observed class instead."""
@@ -591,14 +539,16 @@ def check_odd_p_metabelian_class(group: ConcreteGroup, *,
         return _skip(cid, "class bound requires odd p; observed class recorded",
                      observed_class=cls,
                      sharpness_witness=bool(cls is not None and cls > 3))
-    engel = is_n_engel_group(group, 3)
+    engel = is_n_engel_group(group, 3, exhaustive_threshold)
     details = {"prime": p, "class": cls, "engel3": engel.holds,
                "engel_mode": engel.mode}
     return _verdict(cid, cls == 3 and engel.holds, details)
 
 
-def check_solubility_and_engel(group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
-                               seed: int = 0) -> TheoremCheck:
+def check_solubility_and_engel(
+        group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
+        exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
+        seed: int = 0) -> TheoremCheck:
     """p-groups with proper T_2 are soluble 6-Engel groups whose 2-generator
     subgroups have class at most 6 and 5-generator subgroups class at most 12."""
     cid = "solubility-and-engel"
@@ -612,7 +562,7 @@ def check_solubility_and_engel(group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
     dl = derived_length(group)
     if dl is None:
         failures.append("group is not soluble")
-    engel = is_n_engel_group(group, 6)
+    engel = is_n_engel_group(group, 6, exhaustive_threshold)
     if not engel.holds:
         failures.append("6-Engel identity fails")
     rng = random.Random(seed)
@@ -831,76 +781,108 @@ def _derived_seed(seed: int, group_name: str, check_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _checks_for(entry: CorpusEntry, group: ConcreteGroup, *, seed: int,
-                cap: int, exhaustive_threshold: int,
-                max_cosets: int) -> list[TheoremCheck]:
-    name = entry.name
+@dataclass(frozen=True)
+class _Run:
+    """What a suite check needs to know besides its own seed."""
 
-    def sub_seed(cid: str) -> int:
-        return _derived_seed(seed, name, cid)
-
-    checks = [
-        check_expected_invariants(group, cap=cap),
-        check_congruence_subnormality(
-            group, cap=cap, exhaustive_threshold=exhaustive_threshold,
-            seed=sub_seed("congruence-subnormality")),
-        check_frattini_t2_structure(group, cap=cap),
-        check_cyclic_closure_class(
-            group, cap=cap, exhaustive_threshold=exhaustive_threshold,
-            seed=sub_seed("cyclic-closure-class")),
-        check_generated_subgroup_class(
-            group, cap=cap, seed=sub_seed("generated-subgroup-class")),
-        check_metabelian_identity_suite(
-            group, seed=sub_seed("metabelian-identities")),
-        check_expansion(group, seed=sub_seed("expansion-formula")),
-        check_odd_p_metabelian_class(group, cap=cap),
-        check_solubility_and_engel(group, cap=cap,
-                                   seed=sub_seed("solubility-and-engel")),
-        check_quotient_two_baer(group, cap=cap),
-        check_subgroup_inheritance(group, cap=cap,
-                                   seed=sub_seed("subgroup-t2-inheritance")),
-    ]
-    if entry.factors is not None:
-        left, right = entry.factors
-        checks.append(check_product_decomposition(
-            left(max_cosets), right(max_cosets), cap=cap, product=group))
-    return sorted(checks, key=lambda c: c.id)
+    entry: CorpusEntry
+    group: ConcreteGroup
+    cap: int
+    threshold: int
+    max_cosets: int
 
 
-def _report_for(entry: CorpusEntry, group: ConcreteGroup, *, seed: int,
-                cap: int, exhaustive_threshold: int, max_cosets: int) -> dict:
-    checks = _checks_for(entry, group, seed=seed, cap=cap,
-                         exhaustive_threshold=exhaustive_threshold,
-                         max_cosets=max_cosets)
-    report = classify(group, cap=cap)
-    gdict = {"name": entry.name}
-    gdict.update(report.to_json_dict())
-    return {"group": gdict, "checks": [c.to_json_dict() for c in checks]}
+def _product_check(run: _Run, seed: int) -> TheoremCheck | None:
+    if run.entry.factors is None:
+        return None
+    left, right = run.entry.factors
+    return check_product_decomposition(
+        left(run.max_cosets), right(run.max_cosets), cap=run.cap,
+        product=run.group)
+
+
+# The suite as (check id, call(run, seed)) in running order; reports list
+# the checks sorted by id.  The seed is derived from the run's seed, the
+# group name and the check id; a call returns None where its check does
+# not apply to the entry.  The calls look their check functions up by name
+# when they run, so a wrapped or patched module function is the one called.
+_SUITE_CHECKS = (
+    ("expected-invariants",
+     lambda r, seed: check_expected_invariants(r.group, cap=r.cap)),
+    ("congruence-subnormality",
+     lambda r, seed: check_congruence_subnormality(
+         r.group, cap=r.cap, exhaustive_threshold=r.threshold, seed=seed)),
+    ("frattini-t2-structure",
+     lambda r, seed: check_frattini_t2_structure(r.group, cap=r.cap)),
+    ("cyclic-closure-class",
+     lambda r, seed: check_cyclic_closure_class(
+         r.group, cap=r.cap, exhaustive_threshold=r.threshold, seed=seed)),
+    ("generated-subgroup-class",
+     lambda r, seed: check_generated_subgroup_class(
+         r.group, cap=r.cap, seed=seed)),
+    ("metabelian-identities",
+     lambda r, seed: check_metabelian_identity_suite(r.group, seed=seed)),
+    ("expansion-formula",
+     lambda r, seed: check_expansion(r.group, seed=seed)),
+    ("odd-p-class-three",
+     lambda r, seed: check_odd_p_metabelian_class(
+         r.group, cap=r.cap, exhaustive_threshold=r.threshold)),
+    ("solubility-and-engel",
+     lambda r, seed: check_solubility_and_engel(
+         r.group, cap=r.cap, exhaustive_threshold=r.threshold, seed=seed)),
+    ("quotient-two-baer",
+     lambda r, seed: check_quotient_two_baer(r.group, cap=r.cap)),
+    ("subgroup-t2-inheritance",
+     lambda r, seed: check_subgroup_inheritance(r.group, cap=r.cap,
+                                                seed=seed)),
+    ("product-decomposition", _product_check),
+)
+
+
+def suite_config(seed: int, max_cosets: int, defect_cap: int,
+                 exhaustive_threshold: int) -> dict:
+    """The "config" block of a JSON report."""
+    return {
+        "seed": seed,
+        "limits": {
+            "max_cosets": max_cosets,
+            "defect_cap": defect_cap,
+            "exhaustive_threshold": exhaustive_threshold,
+        },
+    }
 
 
 def run_full_suite(corpus: list[CorpusEntry] | None = None, *, seed: int = 0,
                    max_cosets: int = DEFAULT_MAX_COSETS,
                    defect_cap: int = DEFAULT_CAP,
-                   exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD) -> dict:
+                   exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
+                   checks=None) -> dict:
     """Build every corpus group and run every applicable check, returning a
-    JSON-ready report."""
+    JSON-ready report.  With `checks`, a collection of check ids, only those
+    checks run."""
     if corpus is None:
         corpus = default_corpus()
+    table = _SUITE_CHECKS
+    if checks is not None:
+        unknown = set(checks).difference(cid for cid, _ in _SUITE_CHECKS)
+        if unknown:
+            raise GroupError(f"unknown check ids: {sorted(unknown)}")
+        table = [(cid, call) for cid, call in _SUITE_CHECKS if cid in checks]
     reports = []
     for entry in corpus:
         group = entry.build(max_cosets)
-        reports.append(_report_for(
-            entry, group, seed=seed, cap=defect_cap,
-            exhaustive_threshold=exhaustive_threshold, max_cosets=max_cosets))
+        run = _Run(entry, group, defect_cap, exhaustive_threshold, max_cosets)
+        results = [call(run, _derived_seed(seed, entry.name, cid))
+                   for cid, call in table]
+        results = sorted((c for c in results if c is not None),
+                         key=lambda c: c.id)
+        gdict = {"name": entry.name}
+        gdict.update(classify(group, cap=defect_cap).to_json_dict())
+        reports.append({"group": gdict,
+                        "checks": [c.to_json_dict() for c in results]})
     return {
-        "config": {
-            "seed": seed,
-            "limits": {
-                "max_cosets": max_cosets,
-                "defect_cap": defect_cap,
-                "exhaustive_threshold": exhaustive_threshold,
-            },
-        },
+        "config": suite_config(seed, max_cosets, defect_cap,
+                               exhaustive_threshold),
         "reports": reports,
     }
 
@@ -928,29 +910,8 @@ def run_example_checks(primes: tuple[int, ...] = (2, 3, 5), *, seed: int = 0,
                 "p = 7 builds a group of order 117649 and is disabled by "
                 "default; pass --allow-p7 to run it")
     entries = [CorpusEntry("class4-2group", build_class4_2group)]
-    for p in primes:
-        entries.append(CorpusEntry(f"class3-p{p}",
-                                   partial(build_class3_p_group, p)))
-    reports = []
-    for entry in entries:
-        group = entry.build(max_cosets)
-        checks = _checks_for(entry, group, seed=seed, cap=defect_cap,
-                             exhaustive_threshold=exhaustive_threshold,
-                             max_cosets=max_cosets)
-        keep = [c for c in checks if c.id in _EXAMPLE_CHECK_IDS]
-        report = classify(group, cap=defect_cap)
-        gdict = {"name": entry.name}
-        gdict.update(report.to_json_dict())
-        reports.append({"group": gdict,
-                        "checks": [c.to_json_dict() for c in keep]})
-    return {
-        "config": {
-            "seed": seed,
-            "limits": {
-                "max_cosets": max_cosets,
-                "defect_cap": defect_cap,
-                "exhaustive_threshold": exhaustive_threshold,
-            },
-        },
-        "reports": reports,
-    }
+    entries += [CorpusEntry(f"class3-p{p}", partial(build_class3_p_group, p))
+                for p in primes]
+    return run_full_suite(entries, checks=_EXAMPLE_CHECK_IDS, seed=seed,
+                          max_cosets=max_cosets, defect_cap=defect_cap,
+                          exhaustive_threshold=exhaustive_threshold)

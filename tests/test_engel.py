@@ -1,9 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from baerkit.core import GroupError, nilpotency_class
 from baerkit.engel import (
+    _inputs,
     check_expansion_formula,
     check_metabelian_identities,
     engel_bracket,
@@ -204,3 +206,28 @@ def test_expansion_check_rejects_non_metabelian_groups(s4):
 def test_expansion_single_pair_rejects_bad_depth(d8):
     with pytest.raises(GroupError):
         expansion_formula_holds(d8, 1, 2, 0)
+
+
+def test_inputs_enumerate_up_to_the_limit_and_sample_past_it():
+    pools = ((3, 5, 7), range(4), (-1, 2))
+    tuples, mode = _inputs(random.Random(1), pools, 10, 24)
+    assert mode == "exhaustive"
+    assert tuples == list(product(*pools))
+    tuples, mode = _inputs(random.Random(1), pools, 10, 23)
+    assert mode == "sampled"
+    assert len(tuples) == 10
+    assert all(len(t) == 3 and all(v in pool for v, pool in zip(t, pools))
+               for t in tuples)
+
+
+def test_inputs_sample_the_same_draws_as_randrange():
+    # The sampled tuples repeat the draws of the hand-written loops they
+    # replaced, so seeded reports keep their bytes.
+    derived, size, ns = (0, 4, 9, 11), 50, (1, 2, 3)
+    rng = random.Random(77)
+    old = [(rng.choice(derived), rng.randrange(size), rng.randrange(size),
+            rng.choice(ns)) for _ in range(30)]
+    elems = range(size)
+    new, mode = _inputs(random.Random(77), (derived, elems, elems, ns), 30, 0)
+    assert mode == "sampled"
+    assert new == old

@@ -1,5 +1,8 @@
+from functools import partial
+
 import pytest
 
+from baerkit import verify
 from baerkit.core import GroupError
 from baerkit.subnormal import GENERALIZED_T2, TWO_BAER, cyclic_defect
 from baerkit.verify import (
@@ -62,8 +65,7 @@ def test_benchmark_builders_meet_their_own_expectations(class4_group, class3_p2)
     assert class3_p2.size == 64
     for group in (class4_group, class3_p2):
         assert check_expected_invariants(group).status == "pass"
-        assert group.meta["construction"] == "as-written"
-        assert group.meta["order_as_written"] == group.size
+        assert group.size == group.meta["expected"]["order"]
 
 
 def test_benchmark_builders_are_memoized(class4_group, class3_p3):
@@ -180,6 +182,56 @@ def test_full_suite_is_deterministic():
     one = run_full_suite(parse_corpus_text(CORPUS_TEXT), seed=11)
     two = run_full_suite(parse_corpus_text(CORPUS_TEXT), seed=11)
     assert one == two
+
+
+def _filtered(report, ids):
+    return {"config": report["config"],
+            "reports": [{"group": rep["group"],
+                         "checks": [c for c in rep["checks"] if c["id"] in ids]}
+                        for rep in report["reports"]]}
+
+
+def _driver_corpus():
+    return parse_corpus_text(CORPUS_TEXT) + [
+        CorpusEntry("class3-p2", partial(build_class3_p_group, 2))]
+
+
+def test_full_suite_check_filter_matches_filtered_full_report():
+    full = run_full_suite(_driver_corpus(), seed=5)
+    for ids in (("expansion-formula",),
+                ("odd-p-class-three", "congruence-subnormality",
+                 "subgroup-t2-inheritance")):
+        assert run_full_suite(_driver_corpus(), seed=5,
+                              checks=ids) == _filtered(full, ids)
+
+
+def test_full_suite_never_calls_a_filtered_out_check(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("filtered-out check was called")
+
+    monkeypatch.setattr(verify, "check_expansion", boom)
+    monkeypatch.setattr(verify, "check_cyclic_closure_class", boom)
+    out = run_full_suite(_driver_corpus(), checks=("quotient-two-baer",))
+    assert all([c["id"] for c in rep["checks"]] == ["quotient-two-baer"]
+               for rep in out["reports"])
+
+
+def test_full_suite_rejects_unknown_check_ids():
+    with pytest.raises(GroupError, match="no-such-check"):
+        run_full_suite(parse_corpus_text(CORPUS_TEXT), checks=("no-such-check",))
+
+
+def test_exhaustive_threshold_reaches_the_engel_tests(class3_p3):
+    out = run_example_checks(primes=(3,), exhaustive_threshold=100)
+    odd = {c["id"]: c for c in out["reports"][1]["checks"]}["odd-p-class-three"]
+    assert odd["status"] == "pass"
+    assert odd["details"]["engel_mode"] == "class-reduced"
+    entry = CorpusEntry("class3-p3", partial(build_class3_p_group, 3))
+    for threshold, mode in ((100, "class-reduced"), (2048, "all-pairs")):
+        out = run_full_suite([entry], checks=("solubility-and-engel",),
+                             exhaustive_threshold=threshold)
+        (check,) = out["reports"][0]["checks"]
+        assert check["details"]["engel_mode"] == mode
 
 
 def test_example_checks_structure():
