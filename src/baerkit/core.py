@@ -16,6 +16,7 @@ products, Sylow parts, ...) all work on these two types.
 
 from __future__ import annotations
 
+import functools
 from math import lcm
 
 from .presentation import GroupPresentation, Word, free_reduce
@@ -50,6 +51,21 @@ class GroupError(ValueError):
     """Bad arguments to a group operation (mixed groups, bad subgroups...)."""
 
 
+class cached_property(functools.cached_property):
+    """functools.cached_property that stores with setattr.
+
+    The base class writes through instance.__dict__; on CPython 3.11 that
+    moves the instance's attributes out of inline storage and slows every
+    later attribute load, mult's self.cols and self.rep_word included."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        setattr(obj, self.attrname, value)
+        return value
+
+
 class ConcreteGroup:
     """Finite group given by permutation columns for right multiplication."""
 
@@ -75,7 +91,14 @@ class ConcreteGroup:
         self.meta = dict(meta or {})
         self._check_columns()
         self._bfs()
-        self._cache: dict = {}
+        # Memos keyed by an argument, each filled by the function named.
+        self._orders: dict[int, int] = {}  # element_order
+        self._nilpotency_class: dict[frozenset, int | None] = {}  # nilpotency_class
+        self._derived: dict[frozenset, Subgroup] = {}  # derived_subgroup
+        self._frattini: dict[int, Subgroup] = {}  # frattini_p_group, by p
+        self._cyclic_defects: dict = {}  # subnormal.cyclic_defect, by <x>
+        self._defect_scans: dict = {}  # subnormal._defect_scan, by cap
+        self._reports: dict = {}  # subnormal.classify, by cap
 
     # -- construction internals -------------------------------------------
 
@@ -121,26 +144,28 @@ class ConcreteGroup:
     def generator_elements(self) -> list[int]:
         return [self.gen_element(i) for i in range(self.ngens)]
 
+    @cached_property
+    def _whole(self) -> "Subgroup":
+        return Subgroup(self, range(self.size), self.generator_elements())
+
     def mult(self, a: int, b: int) -> int:
         cols = self.cols
         for l in self.rep_word[b]:
             a = cols[l][a]
         return a
 
-    def inv_array(self) -> list[int]:
-        inv = self._cache.get("inv")
-        if inv is None:
-            # (parent * letter)^-1 = letter^-1 * parent^-1
-            left = [self.left_mult_perm(self.cols[l ^ 1][0])
-                    for l in range(len(self.cols))]
-            inv = [0] * self.size
-            for child, par, l in self._bfs_edges:
-                inv[child] = left[l][inv[par]]
-            self._cache["inv"] = inv
+    @cached_property
+    def _inv(self) -> list[int]:
+        # (parent * letter)^-1 = letter^-1 * parent^-1
+        left = [self.left_mult_perm(self.cols[l ^ 1][0])
+                for l in range(len(self.cols))]
+        inv = [0] * self.size
+        for child, par, l in self._bfs_edges:
+            inv[child] = left[l][inv[par]]
         return inv
 
     def inv(self, a: int) -> int:
-        return self.inv_array()[a]
+        return self._inv[a]
 
     def conj(self, a: int, g: int) -> int:
         # g^-1 * a * g
@@ -162,14 +187,13 @@ class ConcreteGroup:
         return out
 
     def element_order(self, a: int) -> int:
-        orders = self._cache.setdefault("orders", {})
-        got = orders.get(a)
+        got = self._orders.get(a)
         if got is None:
             c, got = a, 1
             while c != 0:
                 c = self.mult(c, a)
                 got += 1
-            orders[a] = got
+            self._orders[a] = got
         return got
 
     # -- words --------------------------------------------------------------
@@ -203,19 +227,16 @@ class ConcreteGroup:
             lam[child] = cols[l][lam[par]]
         return lam
 
+    @cached_property
     def _npcols(self):
         import numpy as np
 
-        npcols = self._cache.get("npcols")
-        if npcols is None:
-            npcols = np.array(self.cols, dtype=np.int64)
-            self._cache["npcols"] = npcols
-        return npcols
+        return np.array(self.cols, dtype=np.int64)
 
     def _right_mult_np(self, g: int):
         import numpy as np
 
-        npcols = self._npcols()
+        npcols = self._npcols
         cur = np.arange(self.size, dtype=np.int64)
         for l in self.rep_word[g]:
             cur = npcols[l][cur]
@@ -227,26 +248,21 @@ class ConcreteGroup:
         lam = self.left_mult_perm(self.inv(g))
         return [lam[x] for x in rho]
 
+    @cached_property
     def _gen_conj_perms(self) -> list[list[int]]:
-        perms = self._cache.get("gen_conj")
-        if perms is None:
-            perms = [self.conj_perm(self.gen_element(i)) for i in range(self.ngens)]
-            self._cache["gen_conj"] = perms
-        return perms
+        return [self.conj_perm(self.gen_element(i)) for i in range(self.ngens)]
 
+    @cached_property
     def _letter_conj_perms(self):
         """Conjugation permutation per generator letter, as numpy arrays."""
         import numpy as np
 
-        perms = self._cache.get("letter_conj")
-        if perms is None:
-            perms = [
-                np.array(self.conj_perm(self.cols[l][0]), dtype=np.int64)
-                for l in range(len(self.cols))
-            ]
-            self._cache["letter_conj"] = perms
-        return perms
+        return [
+            np.array(self.conj_perm(self.cols[l][0]), dtype=np.int64)
+            for l in range(len(self.cols))
+        ]
 
+    @cached_property
     def _edge_groups(self):
         """BFS tree edges bucketed by (depth, letter) as index arrays.
 
@@ -255,22 +271,18 @@ class ConcreteGroup:
         with one vectorized assignment per bucket."""
         import numpy as np
 
-        groups = self._cache.get("edge_groups")
-        if groups is None:
-            depth = [0] * self.size
-            bucket: dict[tuple[int, int], tuple[list, list]] = {}
-            for child, par, l in self._bfs_edges:
-                d = depth[par] + 1
-                depth[child] = d
-                ps, cs = bucket.setdefault((d, l), ([], []))
-                ps.append(par)
-                cs.append(child)
-            groups = [
-                (l, np.array(ps, dtype=np.int64), np.array(cs, dtype=np.int64))
-                for (d, l), (ps, cs) in sorted(bucket.items())
-            ]
-            self._cache["edge_groups"] = groups
-        return groups
+        depth = [0] * self.size
+        bucket: dict[tuple[int, int], tuple[list, list]] = {}
+        for child, par, l in self._bfs_edges:
+            d = depth[par] + 1
+            depth[child] = d
+            ps, cs = bucket.setdefault((d, l), ([], []))
+            ps.append(par)
+            cs.append(child)
+        return [
+            (l, np.array(ps, dtype=np.int64), np.array(cs, dtype=np.int64))
+            for (d, l), (ps, cs) in sorted(bucket.items())
+        ]
 
     def comm_with_perm(self, y: int):
         """The full map x -> [x, y] as a numpy array.
@@ -282,50 +294,52 @@ class ConcreteGroup:
         times to x yields [x, y, y, ..., y] with n copies of y."""
         import numpy as np
 
-        perms = self._letter_conj_perms()
+        perms = self._letter_conj_perms
         v = np.zeros(self.size, dtype=np.int64)
         v[0] = self.inv(y)
-        for l, parents, children in self._edge_groups():
+        for l, parents, children in self._edge_groups:
             v[children] = perms[l][v[parents]]
         return self._right_mult_np(y)[v]
 
     # -- conjugacy ------------------------------------------------------------
 
+    @cached_property
+    def _classes(self) -> list[list[int]]:
+        perms = self._gen_conj_perms
+        seen = [False] * self.size
+        classes = []
+        for e in range(self.size):
+            if seen[e]:
+                continue
+            orbit = [e]
+            seen[e] = True
+            for x in orbit:
+                for p in perms:
+                    y = p[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
+            classes.append(sorted(orbit))
+        return classes
+
+    @cached_property
+    def _class_index(self) -> list[int]:
+        idx = [0] * self.size
+        for i, cl in enumerate(self.conjugacy_classes()):
+            for x in cl:
+                idx[x] = i
+        return idx
+
     def conjugacy_classes(self) -> list[list[int]]:
         """Classes as sorted element lists, ordered by least member."""
-        classes = self._cache.get("classes")
-        if classes is None:
-            perms = self._gen_conj_perms()
-            seen = [False] * self.size
-            classes = []
-            for e in range(self.size):
-                if seen[e]:
-                    continue
-                orbit = [e]
-                seen[e] = True
-                for x in orbit:
-                    for p in perms:
-                        y = p[x]
-                        if not seen[y]:
-                            seen[y] = True
-                            orbit.append(y)
-                classes.append(sorted(orbit))
-            self._cache["classes"] = classes
-        return classes
+        return self._classes
 
     def class_reps(self) -> list[int]:
         return [cl[0] for cl in self.conjugacy_classes()]
 
     def class_of(self, e: int) -> list[int]:
         """The conjugacy class containing e, as a sorted list."""
-        idx = self._cache.get("class_index")
-        if idx is None:
-            idx = [0] * self.size
-            for i, cl in enumerate(self.conjugacy_classes()):
-                for x in cl:
-                    idx[x] = i
-            self._cache["class_index"] = idx
-        return self.conjugacy_classes()[idx[e]]
+        return self.conjugacy_classes()[self._class_index[e]]
 
     def __repr__(self):
         name = self.meta.get("name")
@@ -375,8 +389,10 @@ class Subgroup:
     @classmethod
     def generated(cls, group: ConcreteGroup, gens) -> "Subgroup":
         gens = list(gens)
-        elems = _closure(group, gens)
-        return cls(group, elems, gens)
+        builder = _ClosureBuilder(group)
+        for g in gens:
+            builder.add(g)
+        return cls(group, builder.elements(), gens)
 
     @classmethod
     def trivial(cls, group: ConcreteGroup) -> "Subgroup":
@@ -384,12 +400,7 @@ class Subgroup:
 
     @classmethod
     def whole(cls, group: ConcreteGroup) -> "Subgroup":
-        sub = group._cache.get("whole")
-        if sub is None:
-            gens = group.generator_elements()
-            sub = cls(group, range(group.size), gens)
-            group._cache["whole"] = sub
-        return sub
+        return group._whole
 
     @classmethod
     def from_elements(cls, group: ConcreteGroup, elements) -> "Subgroup":
@@ -476,24 +487,6 @@ class _ClosureBuilder:
         return sorted(self._elems)
 
 
-def _closure(group: ConcreteGroup, gens) -> list[int]:
-    """Elements of <gens>, in increasing index order."""
-    builder = _ClosureBuilder(group)
-    for g in gens:
-        builder.add(g)
-    return builder.elements()
-
-
-def _grown_subgroup(group: ConcreteGroup, base_gens, candidates) -> Subgroup:
-    """Subgroup generated by base_gens plus whichever candidates add anything."""
-    builder = _ClosureBuilder(group)
-    for g in base_gens:
-        builder.add(g)
-    for c in candidates:
-        builder.add(c)
-    return Subgroup(group, builder.elements(), builder.gens)
-
-
 def _as_subgroup(g) -> Subgroup:
     if isinstance(g, Subgroup):
         return g
@@ -549,7 +542,7 @@ def lower_central_series(g) -> list[Subgroup]:
     while True:
         cur = series[-1]
         comms = [group.comm(a, b) for a in cur.gens for b in sub.gens]
-        nxt = normal_closure(_grown_subgroup(group, [], comms), sub)
+        nxt = normal_closure(Subgroup.generated(group, comms), sub)
         if nxt.elemset == cur.elemset:
             break
         series.append(nxt)
@@ -561,13 +554,11 @@ def lower_central_series(g) -> list[Subgroup]:
 def nilpotency_class(g) -> int | None:
     """Nilpotency class, or None when the series stabilizes above 1."""
     sub = _as_subgroup(g)
-    key = ("nilpotency_class", sub.elemset)
-    cached = sub.group._cache.get(key)
-    if cached is None:
+    memo = sub.group._nilpotency_class
+    if sub.elemset not in memo:
         series = lower_central_series(sub)
-        cached = len(series) - 1 if series[-1].size == 1 else (None,)
-        sub.group._cache[key] = cached
-    return None if cached == (None,) else cached
+        memo[sub.elemset] = len(series) - 1 if series[-1].size == 1 else None
+    return memo[sub.elemset]
 
 
 def derived_series(g) -> list[Subgroup]:
@@ -585,13 +576,12 @@ def derived_series(g) -> list[Subgroup]:
 
 def derived_subgroup(g) -> Subgroup:
     sub = _as_subgroup(g)
-    key = ("derived", sub.elemset)
-    got = sub.group._cache.get(key)
+    group = sub.group
+    got = group._derived.get(sub.elemset)
     if got is None:
-        group = sub.group
         comms = [group.comm(a, b) for a in sub.gens for b in sub.gens]
-        got = normal_closure(_grown_subgroup(group, [], comms), sub)
-        sub.group._cache[key] = got
+        got = normal_closure(Subgroup.generated(group, comms), sub)
+        group._derived[sub.elemset] = got
     return got
 
 
@@ -606,13 +596,9 @@ def is_metabelian(g) -> bool:
 
 
 def center(group: ConcreteGroup) -> Subgroup:
-    got = group._cache.get("center")
-    if got is None:
-        perms = group._gen_conj_perms()
-        elems = [e for e in range(group.size) if all(p[e] == e for p in perms)]
-        got = Subgroup.from_elements(group, elems)
-        group._cache["center"] = got
-    return got
+    perms = group._gen_conj_perms
+    elems = [e for e in range(group.size) if all(p[e] == e for p in perms)]
+    return Subgroup.from_elements(group, elems)
 
 
 def upper_central_series(group: ConcreteGroup) -> list[Subgroup]:
@@ -684,7 +670,7 @@ def factorize(n: int) -> dict[int, int]:
 def frattini_p_group(group: ConcreteGroup, p: int) -> Subgroup:
     """Frattini subgroup of a finite p-group: the normal closure of the
     generator commutators together with generator p-th powers."""
-    cached = group._cache.get(("frattini", p))
+    cached = group._frattini.get(p)
     if cached is not None:
         return cached
     facs = factorize(group.size)
@@ -693,8 +679,8 @@ def frattini_p_group(group: ConcreteGroup, p: int) -> Subgroup:
     gens = group.generator_elements()
     cand = [group.comm(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
     cand += [group.power(a, p) for a in gens]
-    sub = normal_closure(_grown_subgroup(group, [], cand), group)
-    group._cache[("frattini", p)] = sub
+    sub = normal_closure(Subgroup.generated(group, cand), group)
+    group._frattini[p] = sub
     return sub
 
 

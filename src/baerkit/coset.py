@@ -81,16 +81,21 @@ def enumerate_cosets(
     Deterministic: new cosets are numbered in first-gap scan order, so
     the same input always yields the same table.  Raises
     EnumerationLimitError when the limits are exhausted (the enumeration
-    never returns a truncated table) and PresentationError never; bad
-    input should be caught at parse time.
+    never returns a truncated table), also before any work when a
+    relator has more letters than max_cosets, and PresentationError
+    never; bad input should be caught at parse time.
     """
     ngens = len(pres.generators)
     ncols = 2 * ngens
     gen_col = {g: 2 * i for i, g in enumerate(pres.generators)}
-    rel_words = [w for w in (_letters(r, gen_col) for r in pres.relators) if w]
-    sub_words = [w for w in (_letters(s, gen_col) for s in subgroup_gens) if w]
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
+    longest = max((r.letter_count() for r in pres.relators), default=0)
+    if longest > max_cosets:
+        raise EnumerationLimitError(
+            f"a relator of {longest} letters exceeds max_cosets={max_cosets}", 0, 0)
+    rel_words = [w for w in (_letters(r, gen_col) for r in pres.relators) if w]
+    sub_words = [w for w in (_letters(s, gen_col) for s in subgroup_gens) if w]
 
     cols: list[list[int]] = [[-1] for _ in range(ncols)]
     parent = [0]

@@ -78,6 +78,9 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n == 0:
             return Word()
+        if len(self.syllables) == 1:
+            ((g, e),) = self.syllables
+            return Word(_reduced(((g, e * n),)))
         base = self.syllables if n > 0 else self.inverse().syllables
         return Word(_reduced(base * abs(n)))
 

@@ -27,7 +27,6 @@ from .core import (
     nilpotency_class,
     normal_closure,
     _as_subgroup,
-    _grown_subgroup,
 )
 
 __all__ = [
@@ -112,15 +111,13 @@ def cyclic_defect(group: ConcreteGroup, x: int, cap: int = DEFAULT_CAP) -> Defec
 
     Definite defects and provably stabilized outcomes are reused for any
     cap; a cap-truncated outcome is only reused for caps it covers."""
-    cache = group._cache.setdefault("cyclic_defect", {})
     sub = Subgroup.generated(group, [x])
-    key = sub.elemset
-    got = cache.get(key)
+    got = group._cyclic_defects.get(sub.elemset)
     if got is not None:
         if got.defect is not None or got.stabilized or (got.cap or 0) >= cap:
             return got
     got = defect(sub, group, cap=cap)
-    cache[key] = got
+    group._cyclic_defects[sub.elemset] = got
     return got
 
 
@@ -136,14 +133,13 @@ def _defect_scan(group: ConcreteGroup, cap: int) -> list[tuple[int, int, DefectR
     Representatives cover every element up to conjugacy and defects are
     conjugation invariant, so this scan determines T_n membership and
     per-element defect statistics for the entire group."""
-    key = ("defect_scan", cap)
-    got = group._cache.get(key)
+    got = group._defect_scans.get(cap)
     if got is None:
         got = []
         for cl in group.conjugacy_classes():
             rep = cl[0]
             got.append((rep, len(cl), cyclic_defect(group, rep, cap=cap)))
-        group._cache[key] = got
+        group._defect_scans[cap] = got
     return got
 
 
@@ -155,10 +151,7 @@ def t_n_subgroup(group: ConcreteGroup, n: int, cap: int = DEFAULT_CAP) -> Subgro
     cap is visible rather than silent."""
     scan = _defect_scan(group, max(cap, n))
     bad = [rep for rep, _, res in scan if not res.within(n)]
-    if not bad:
-        return Subgroup.trivial(group)
-    seed = _grown_subgroup(group, [], bad)
-    return normal_closure(seed, group)
+    return normal_closure(Subgroup.generated(group, bad), group)
 
 
 def t_n_within(ambient: Subgroup, n: int, cap: int = DEFAULT_CAP) -> Subgroup:
@@ -181,10 +174,7 @@ def t_n_within(ambient: Subgroup, n: int, cap: int = DEFAULT_CAP) -> Subgroup:
         seen |= cyc.elemset
         if not defect(cyc, ambient, cap=max(cap, n)).within(n):
             bad.append(h)
-    if not bad:
-        return Subgroup.trivial(group)
-    seed = _grown_subgroup(group, [], bad)
-    return normal_closure(seed, ambient)
+    return normal_closure(Subgroup.generated(group, bad), ambient)
 
 
 def all_subgroups(group: ConcreteGroup, bound: int = SMALL_GROUP_BOUND) -> list[Subgroup]:
@@ -203,7 +193,7 @@ def all_subgroups(group: ConcreteGroup, bound: int = SMALL_GROUP_BOUND) -> list[
         nxt = []
         for a in work:
             for b in list(subs.values()):
-                j = _grown_subgroup(group, list(a.gens), list(b.gens))
+                j = Subgroup.generated(group, a.gens + b.gens)
                 if j.elemset not in subs:
                     subs[j.elemset] = j
                     nxt.append(j)
@@ -247,7 +237,8 @@ def brute_force_defect(h: Subgroup, group: ConcreteGroup,
 
 @dataclass
 class ClassificationReport:
-    """Structural summary used by the verifier and the command line."""
+    """Structural summary used by the verifier and the command line; t2,
+    the T_2 subgroup itself, is left out of repr, comparisons and JSON."""
 
     order: int
     nilpotency_class: int | None
@@ -259,6 +250,7 @@ class ClassificationReport:
     cap: int
     capped_classes: int
     strict_reading_disagreements: int
+    t2: Subgroup = field(repr=False, compare=False)
     strict_reading_samples: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -297,7 +289,7 @@ def _quotient_is_simple(group: ConcreteGroup, h: Subgroup) -> bool:
     for rep in group.class_reps():
         if rep in h.elemset:
             continue
-        ncl = normal_closure(_grown_subgroup(group, list(h.gens), [rep]), group)
+        ncl = normal_closure(Subgroup.generated(group, [*h.gens, rep]), group)
         if ncl.size < group.size:
             return False
     return True
@@ -312,7 +304,7 @@ def classify(group: ConcreteGroup, cap: int = DEFAULT_CAP) -> ClassificationRepo
     where the quotient by the cyclic subgroup is simple (no strictly
     intermediate normal term exists).  Defects equal to 2 always admit a
     strict chain, so nothing else can differ at n = 2."""
-    cached = group._cache.get(("classify", cap))
+    cached = group._reports.get(cap)
     if cached is not None:
         return cached
     scan = _defect_scan(group, cap)
@@ -355,17 +347,8 @@ def classify(group: ConcreteGroup, cap: int = DEFAULT_CAP) -> ClassificationRepo
         cap=cap,
         capped_classes=capped,
         strict_reading_disagreements=disagree,
+        t2=t2,
         strict_reading_samples=samples,
     )
-    group._cache[("classify", cap)] = report
-    group._cache[("t2", cap)] = t2
+    group._reports[cap] = report
     return report
-
-
-def t2_subgroup_cached(group: ConcreteGroup, cap: int = DEFAULT_CAP) -> Subgroup:
-    """T_2 with the classify() cache primed, for callers needing both."""
-    got = group._cache.get(("t2", cap))
-    if got is None:
-        classify(group, cap=cap)
-        got = group._cache[("t2", cap)]
-    return got

@@ -49,7 +49,6 @@ from .subnormal import (
     TWO_BAER,
     classify,
     is_n_subnormal,
-    t2_subgroup_cached,
     t_n_within,
 )
 
@@ -378,7 +377,7 @@ def check_frattini_t2_structure(group: ConcreteGroup, *,
     if not der.elemset <= z2.elemset:
         failures.append("derived subgroup not inside second center")
 
-    t2 = t2_subgroup_cached(group, cap=cap)
+    t2 = classify(group, cap=cap).t2
     w = group.mult(x, group.power(y, p - 1))
     expect_t2 = Subgroup.generated(group, [w, xp, yp, c])
     if expect_t2.elemset != t2.elemset:
@@ -409,7 +408,7 @@ def check_cyclic_closure_class(
     """When T_2 is proper, every element outside it generates a normal
     closure of class at most 2 and is a left 3-Engel element."""
     cid = "cyclic-closure-class"
-    t2 = t2_subgroup_cached(group, cap=cap)
+    t2 = classify(group, cap=cap).t2
     if t2.is_whole():
         return _skip(cid, "T_2 is the whole group; no elements lie outside it",
                      t2_order=t2.size)
@@ -447,7 +446,7 @@ def check_generated_subgroup_class(
     """When T_2 is proper, every subgroup generated by d elements is
     nilpotent of class at most 2(d + 1)."""
     cid = "generated-subgroup-class"
-    t2 = t2_subgroup_cached(group, cap=cap)
+    t2 = classify(group, cap=cap).t2
     if t2.is_whole():
         return _skip(cid, "T_2 is the whole group; no elements lie outside it",
                      t2_order=t2.size)
@@ -555,7 +554,7 @@ def check_solubility_and_engel(
     facs = factorize(group.size) if group.size > 1 else {}
     if len(facs) != 1:
         return _skip(cid, "group is not a p-group")
-    t2 = t2_subgroup_cached(group, cap=cap)
+    t2 = classify(group, cap=cap).t2
     if t2.is_whole():
         return _skip(cid, "T_2 is the whole group; the claim needs it proper")
     failures = []
@@ -588,7 +587,7 @@ def check_quotient_two_baer(group: ConcreteGroup, *,
     """The quotient by T_2 has trivial T_2 of its own: factoring out the
     2-subnormal part leaves nothing 2-subnormal behind."""
     cid = "quotient-two-baer"
-    t2 = t2_subgroup_cached(group, cap=cap)
+    t2 = classify(group, cap=cap).t2
     if t2.is_whole():
         return _skip(cid, "T_2 is the whole group; quotient is trivial")
     if t2.size == 1:
@@ -609,7 +608,7 @@ def check_subgroup_inheritance(group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
     """T_2 measured inside a subgroup H lands inside T_2(G) intersected
     with H."""
     cid = "subgroup-t2-inheritance"
-    t2g = t2_subgroup_cached(group, cap=cap)
+    t2g = classify(group, cap=cap).t2
     rng = random.Random(seed)
     checked = 0
     for i in range(trials):
@@ -653,8 +652,8 @@ def check_product_decomposition(h: ConcreteGroup, k: ConcreteGroup, *,
     g = product if product is not None else direct_product(h, k)
     m = g.meta["factor_sizes"][1]
     embed_left = g.meta["embed_left"]
-    t2h = t2_subgroup_cached(h, cap=cap)
-    t2g = t2_subgroup_cached(g, cap=cap)
+    greport = classify(g, cap=cap)
+    t2h, t2g = hreport.t2, greport.t2
     lower = {embed_left[a] for a in t2h.elements}
     upper = {a * m + b for a in t2h.elements for b in range(k.size)}
     failures = []
@@ -662,7 +661,6 @@ def check_product_decomposition(h: ConcreteGroup, k: ConcreteGroup, *,
         failures.append("T_2(H) x 1 escapes T_2 of the product")
     if not t2g.elemset <= upper:
         failures.append("T_2 of the product escapes T_2(H) x K")
-    greport = classify(g, cap=cap)
     expected_cls = (GENERALIZED_T2 if t2h.size > 1 else TWO_BAER)
     if greport.classification != expected_cls:
         failures.append(

@@ -198,3 +198,13 @@ def test_deeply_nested_presentation_is_a_clean_input_error(tmp_path):
     assert out.stderr.startswith("error:")
     assert "nested deeper than" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_relator_longer_than_max_cosets_exits_with_limit_error(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("gens: a; rels: a^1000000000\n")
+    out = run_cli("analyze", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:")
+    assert "max_cosets=2000000" in out.stderr

@@ -83,3 +83,11 @@ def test_deterministic_numbering():
     t1 = enumerate_cosets(pres)
     t2 = enumerate_cosets(pres)
     assert t1.cols == t2.cols
+
+
+def test_relator_longer_than_max_cosets_is_rejected_before_enumeration():
+    pres = parse_presentation("gens: a; rels: a^11")
+    with pytest.raises(EnumerationLimitError) as info:
+        enumerate_cosets(pres, max_cosets=10)
+    assert info.value.cosets_defined == 0
+    assert enumerate_cosets(pres, max_cosets=11).coset_count == 11

@@ -171,3 +171,8 @@ def test_nesting_depth_is_capped():
             parse_presentation(f"gens: a; rels: {bad}")
         with pytest.raises(PresentationError, match="nested deeper than"):
             parse_word(bad, ("a",))
+
+
+def test_huge_exponent_literal_stays_one_syllable():
+    pres = parse_presentation("gens: a, b; rels: a^1000000000; (b^-2)^3")
+    assert pres.relators == (word("a", 1000000000), word("b", -6))

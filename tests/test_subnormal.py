@@ -11,7 +11,6 @@ from baerkit.subnormal import (
     cyclic_defect,
     defect,
     is_n_subnormal,
-    t2_subgroup_cached,
     t_n_subgroup,
     t_n_within,
 )
