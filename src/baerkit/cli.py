@@ -15,11 +15,12 @@ import os
 import sys
 
 from .core import GroupError
-from .coset import DEFAULT_MAX_COSETS, EnumerationLimitError, enumerate_cosets, to_group
-from .engel import DEFAULT_EXHAUSTIVE_THRESHOLD
-from .presentation import PresentationError, parse_presentation, parse_word
+from .coset import DEFAULT_MAX_COSETS, EnumerationLimitError
+from .presentation import PresentationError, parse_word
 from .subnormal import DEFAULT_CAP, classify, cyclic_defect
 from .verify import (
+    DEFAULT_EXHAUSTIVE_THRESHOLD,
+    build_group,
     parse_corpus_text,
     run_example_checks,
     run_full_suite,
@@ -75,9 +76,9 @@ def _make_parser() -> _Parser:
                         default=DEFAULT_EXHAUSTIVE_THRESHOLD, metavar="N",
                         help="largest group order checked element by element "
                              "by congruence-subnormality and "
-                             "cyclic-closure-class, and on all pairs by the "
-                             "Engel tests of odd-p-class-three and "
-                             "solubility-and-engel")
+                             "cyclic-closure-class, and most generator tuples "
+                             "per d checked by generated-subgroup-class; "
+                             "larger inputs are sampled")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks (default: 0)")
 
@@ -131,15 +132,11 @@ def _print_json(obj) -> None:
 def _build_from_file(path: str, max_cosets: int):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    pres = parse_presentation(text)
-    table = enumerate_cosets(pres, max_cosets=max_cosets)
-    group = to_group(table)
-    group.meta["name"] = os.path.basename(path)
-    return pres, group
+    return build_group(text, name=os.path.basename(path), max_cosets=max_cosets)
 
 
 def cmd_analyze(args) -> int:
-    _, group = _build_from_file(args.path, args.max_cosets)
+    group = _build_from_file(args.path, args.max_cosets)
     report = classify(group, cap=args.defect_cap)
     d = report.to_json_dict()
     if args.format == "json":
@@ -153,8 +150,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_defect(args) -> int:
-    pres, group = _build_from_file(args.path, args.max_cosets)
-    w = parse_word(args.word, pres.generators)
+    group = _build_from_file(args.path, args.max_cosets)
+    w = parse_word(args.word, group.gen_names)
     e = group.word_to_element(w)
     cap = max(args.defect_cap, args.n)
     res = cyclic_defect(group, e, cap=cap)

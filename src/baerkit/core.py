@@ -199,14 +199,12 @@ class ConcreteGroup:
     # -- words --------------------------------------------------------------
 
     def word_to_element(self, w: Word) -> int:
-        gen_col = {g: 2 * i for i, g in enumerate(self.gen_names)}
+        gen_index = {g: i for i, g in enumerate(self.gen_names)}
         c = 0
         for g, e in free_reduce(w).syllables:
-            if g not in gen_col:
+            if g not in gen_index:
                 raise GroupError(f"word uses unknown generator {g!r}")
-            l = gen_col[g] + (0 if e > 0 else 1)
-            for _ in range(abs(e)):
-                c = self.cols[l][c]
+            c = self.mult(c, self.power(self.gen_element(gen_index[g]), e))
         return c
 
     def element_word(self, e: int) -> Word:

@@ -74,7 +74,6 @@ def enumerate_cosets(
     *,
     max_cosets: int = DEFAULT_MAX_COSETS,
     max_steps: int | None = None,
-    validate: bool = True,
 ) -> CosetTable:
     """Enumerate cosets of the subgroup generated by subgroup_gens.
 
@@ -241,8 +240,7 @@ def enumerate_cosets(
         cols=cols,
         coset_count=count,
     )
-    if validate:
-        _validate(table, rel_words, sub_words)
+    _validate(table, rel_words, sub_words)
     return table
 
 

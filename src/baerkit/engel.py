@@ -26,7 +26,6 @@ from .core import (
 )
 
 __all__ = [
-    "DEFAULT_EXHAUSTIVE_THRESHOLD",
     "EngelReport",
     "IdentityCheck",
     "engel_bracket",
@@ -39,8 +38,6 @@ __all__ = [
     "expansion_formula_holds",
     "check_expansion_formula",
 ]
-
-DEFAULT_EXHAUSTIVE_THRESHOLD = 2048
 
 _EXHAUSTIVE_EVALS = 20_000
 
@@ -67,13 +64,12 @@ class EngelReport:
     kind: str
     n: int
     holds: bool
-    mode: str
     subject: str = "group"
     witness: tuple[str, str] | None = None
 
     def __str__(self) -> str:
         verdict = "holds" if self.holds else f"fails at {self.witness}"
-        return f"{self.kind} {self.n}-Engel for {self.subject} {verdict} ({self.mode})"
+        return f"{self.kind} {self.n}-Engel for {self.subject} {verdict}"
 
 
 @dataclass(frozen=True)
@@ -122,45 +118,31 @@ def is_left_n_engel(group: ConcreteGroup, x: int, n: int) -> EngelReport:
     if bad.size:
         g = int(bad[0])
         witness = (str(group.element_word(g)), subject)
-        return EngelReport("left", n, False, "exhaustive", subject, witness)
-    return EngelReport("left", n, True, "exhaustive", subject)
+        return EngelReport("left", n, False, subject, witness)
+    return EngelReport("left", n, True, subject)
 
 
 def is_right_n_engel(group: ConcreteGroup, x: int, n: int) -> EngelReport:
     """Whether [x, g, ..., g] = 1 (n copies of g) for every g.
 
-    Conjugating g moves the bracket by [x, n*(g^h)] = [x^(h^-1), n*g]^h,
-    so it is equivalent to test class representatives g against every
-    conjugate of x; that route wins when x has a small class.  Either
-    way the answer is exact; on failure a direct rescan pins a witness
-    pair involving x itself."""
-    if n < 1:
-        raise GroupError("n must be at least 1")
+    The answer is membership in right_engel_elements, which tests class
+    representatives g against every conjugate of x at once; on failure
+    a direct rescan pins a witness pair involving x itself."""
     subject = str(group.element_word(x))
-    cls = group.class_of(x)
-    reps = group.class_reps()
-    if len(reps) * len(cls) <= group.size:
-        arr = np.array(cls, dtype=np.int64)
-        ok = all(
-            not _iterated(group.comm_with_perm(r), n)[arr].any() for r in reps
-        )
-        mode = "class-reduced"
-    else:
-        ok = all(engel_bracket(group, x, g, n) == 0 for g in range(group.size))
-        mode = "direct"
-    if ok:
-        return EngelReport("right", n, True, mode, subject)
+    if x in right_engel_elements(group, n):
+        return EngelReport("right", n, True, subject)
     g = next(h for h in range(group.size) if engel_bracket(group, x, h, n) != 0)
     witness = (subject, str(group.element_word(g)))
-    return EngelReport("right", n, False, mode, subject, witness)
+    return EngelReport("right", n, False, subject, witness)
 
 
 def right_engel_elements(group: ConcreteGroup, n: int) -> list[int]:
     """All x with [x, g, ..., g] = 1 (n copies) for every g.
 
-    For each class representative r the mask of x killed by r comes out
-    of one bracket table; an element qualifies exactly when its whole
-    conjugacy class survives every representative's mask."""
+    Conjugating g moves the bracket by [x, n*(g^h)] = [x^(h^-1), n*g]^h.
+    So for each class representative r the mask of x killed by r comes
+    out of one bracket table, and an element qualifies exactly when its
+    whole conjugacy class survives every representative's mask."""
     if n < 1:
         raise GroupError("n must be at least 1")
     ok = np.ones(group.size, dtype=bool)
@@ -188,29 +170,21 @@ def right_engel_set(group: ConcreteGroup, n: int) -> Subgroup:
         )
 
 
-def is_n_engel_group(
-    group: ConcreteGroup,
-    n: int,
-    exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
-) -> EngelReport:
+def is_n_engel_group(group: ConcreteGroup, n: int) -> EngelReport:
     """Whether [x, y, ..., y] = 1 (n copies of y) for all x and y.
 
-    Past the threshold, y runs over class representatives only, which
-    decides the same question: [x, n*(y^h)] = [x^(h^-1), n*y]^h and
-    x^(h^-1) ranges over the whole group as x does."""
+    y runs over class representatives only, which decides the same
+    question: [x, n*(y^h)] = [x^(h^-1), n*y]^h and x^(h^-1) ranges over
+    the whole group as x does."""
     if n < 1:
         raise GroupError("n must be at least 1")
-    if group.size <= exhaustive_threshold:
-        ys, mode = range(group.size), "all-pairs"
-    else:
-        ys, mode = group.class_reps(), "class-reduced"
-    for y in ys:
+    for y in group.class_reps():
         bad = np.flatnonzero(_iterated(group.comm_with_perm(y), n))
         if bad.size:
             x = int(bad[0])
             witness = (str(group.element_word(x)), str(group.element_word(y)))
-            return EngelReport("group", n, False, mode, witness=witness)
-    return EngelReport("group", n, True, mode)
+            return EngelReport("group", n, False, witness=witness)
+    return EngelReport("group", n, True)
 
 
 # -- identity checks ---------------------------------------------------------

@@ -34,7 +34,6 @@ from .core import (
 )
 from .coset import DEFAULT_MAX_COSETS, enumerate_cosets, to_group
 from .engel import (
-    DEFAULT_EXHAUSTIVE_THRESHOLD,
     _inputs,
     check_expansion_formula,
     check_metabelian_identities,
@@ -53,6 +52,7 @@ from .subnormal import (
 )
 
 __all__ = [
+    "DEFAULT_EXHAUSTIVE_THRESHOLD",
     "TheoremCheck",
     "CorpusEntry",
     "cyclic_presentation",
@@ -85,6 +85,8 @@ __all__ = [
     "run_example_checks",
     "suite_config",
 ]
+
+DEFAULT_EXHAUSTIVE_THRESHOLD = 2048
 
 PASS = "pass"
 FAIL = "fail"
@@ -442,9 +444,11 @@ def check_cyclic_closure_class(
 def check_generated_subgroup_class(
         group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
         ds: tuple[int, ...] = (1, 2, 3), trials: int = 12,
-        seed: int = 0, exhaustive_evals: int = 2048) -> TheoremCheck:
+        seed: int = 0,
+        exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD) -> TheoremCheck:
     """When T_2 is proper, every subgroup generated by d elements is
-    nilpotent of class at most 2(d + 1)."""
+    nilpotent of class at most 2(d + 1).  Each d checks every generator
+    tuple when there are at most `exhaustive_threshold` of them."""
     cid = "generated-subgroup-class"
     t2 = classify(group, cap=cap).t2
     if t2.is_whole():
@@ -455,7 +459,7 @@ def check_generated_subgroup_class(
     for d in ds:
         bound = 2 * (d + 1)
         tuples, mode = _inputs(rng, (range(group.size),) * d, trials,
-                               exhaustive_evals)
+                               exhaustive_threshold)
         for gens in tuples:
             sub = Subgroup.generated(group, list(gens))
             cls = nilpotency_class(sub)
@@ -516,9 +520,8 @@ def check_expansion(group: ConcreteGroup, *, seed: int = 0,
     return _verdict(cid, True, details)
 
 
-def check_odd_p_metabelian_class(
-        group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
-        exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD) -> TheoremCheck:
+def check_odd_p_metabelian_class(group: ConcreteGroup, *,
+                                 cap: int = DEFAULT_CAP) -> TheoremCheck:
     """Metabelian p-groups with proper nontrivial T_2 have class exactly 3
     when p is odd; for p = 2 the class bound genuinely fails, so the check
     records the observed class instead."""
@@ -538,16 +541,13 @@ def check_odd_p_metabelian_class(
         return _skip(cid, "class bound requires odd p; observed class recorded",
                      observed_class=cls,
                      sharpness_witness=bool(cls is not None and cls > 3))
-    engel = is_n_engel_group(group, 3, exhaustive_threshold)
-    details = {"prime": p, "class": cls, "engel3": engel.holds,
-               "engel_mode": engel.mode}
+    engel = is_n_engel_group(group, 3)
+    details = {"prime": p, "class": cls, "engel3": engel.holds}
     return _verdict(cid, cls == 3 and engel.holds, details)
 
 
-def check_solubility_and_engel(
-        group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
-        exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
-        seed: int = 0) -> TheoremCheck:
+def check_solubility_and_engel(group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
+                               seed: int = 0) -> TheoremCheck:
     """p-groups with proper T_2 are soluble 6-Engel groups whose 2-generator
     subgroups have class at most 6 and 5-generator subgroups class at most 12."""
     cid = "solubility-and-engel"
@@ -561,7 +561,7 @@ def check_solubility_and_engel(
     dl = derived_length(group)
     if dl is None:
         failures.append("group is not soluble")
-    engel = is_n_engel_group(group, 6, exhaustive_threshold)
+    engel = is_n_engel_group(group, 6)
     if not engel.holds:
         failures.append("6-Engel identity fails")
     rng = random.Random(seed)
@@ -575,8 +575,8 @@ def check_solubility_and_engel(
                     f"{d}-generator subgroup of class {cls} exceeds {bound}")
                 break
         type_counts[str(d)] = {"bound": bound, "count": trials}
-    details = {"derived_length": dl, "engel": 6, "engel_mode": engel.mode,
-               "types": type_counts, "seed": seed}
+    details = {"derived_length": dl, "engel": 6, "types": type_counts,
+               "seed": seed}
     if failures:
         details["failures"] = failures
     return _verdict(cid, not failures, details)
@@ -591,11 +591,7 @@ def check_quotient_two_baer(group: ConcreteGroup, *,
     if t2.is_whole():
         return _skip(cid, "T_2 is the whole group; quotient is trivial")
     if t2.size == 1:
-        report = classify(group, cap=cap)
-        ok = report.t2_order == 1
-        return _verdict(cid, ok, {"quotient_order": group.size,
-                                  "quotient_t2_order": report.t2_order,
-                                  "note": "T_2 trivial, group is its own quotient"})
+        return _skip(cid, "T_2 is trivial; the quotient is the group itself")
     q = quotient(group, t2)
     report = classify(q, cap=cap)
     details = {"quotient_order": q.size, "quotient_t2_order": report.t2_order,
@@ -817,17 +813,16 @@ _SUITE_CHECKS = (
          r.group, cap=r.cap, exhaustive_threshold=r.threshold, seed=seed)),
     ("generated-subgroup-class",
      lambda r, seed: check_generated_subgroup_class(
-         r.group, cap=r.cap, seed=seed)),
+         r.group, cap=r.cap, seed=seed, exhaustive_threshold=r.threshold)),
     ("metabelian-identities",
      lambda r, seed: check_metabelian_identity_suite(r.group, seed=seed)),
     ("expansion-formula",
      lambda r, seed: check_expansion(r.group, seed=seed)),
     ("odd-p-class-three",
-     lambda r, seed: check_odd_p_metabelian_class(
-         r.group, cap=r.cap, exhaustive_threshold=r.threshold)),
+     lambda r, seed: check_odd_p_metabelian_class(r.group, cap=r.cap)),
     ("solubility-and-engel",
-     lambda r, seed: check_solubility_and_engel(
-         r.group, cap=r.cap, exhaustive_threshold=r.threshold, seed=seed)),
+     lambda r, seed: check_solubility_and_engel(r.group, cap=r.cap,
+                                                seed=seed)),
     ("quotient-two-baer",
      lambda r, seed: check_quotient_two_baer(r.group, cap=r.cap)),
     ("subgroup-t2-inheritance",

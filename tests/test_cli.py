@@ -102,6 +102,12 @@ def test_defect_json_output(d16_file):
                  "n": 2, "n_subnormal": False}
 
 
+def test_defect_of_a_huge_exponent_answers(d8_file):
+    out = run_cli("defect", d8_file, "r^1000000001")
+    assert out.returncode == 0
+    assert out.stdout == "defect 1; r^1000000001 is 2-subnormal\n"
+
+
 def test_defect_rejects_foreign_generator(d8_file):
     out = run_cli("defect", d8_file, "t^2")
     assert out.returncode == 1

@@ -23,6 +23,7 @@ from baerkit.core import (
     sylow_decomposition,
     upper_central_series,
 )
+from baerkit.presentation import parse_word
 from baerkit.verify import build_group, cyclic_presentation, dihedral_presentation
 
 from oracles import (
@@ -293,3 +294,9 @@ def test_frattini_rejects_wrong_prime(d8):
 def test_word_round_trip(s4):
     for e in range(s4.size):
         assert s4.word_to_element(s4.element_word(e)) == e
+
+
+def test_word_to_element_takes_large_exponents_at_once(d8):
+    r = d8.gen_element(0)
+    assert d8.word_to_element(parse_word("r^1000000001", d8.gen_names)) == r
+    assert d8.word_to_element(parse_word("r^-1000000001", d8.gen_names)) == d8.inv(r)

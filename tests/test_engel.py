@@ -115,11 +115,14 @@ def test_group_engel_identity_frozen(d8, d16, q8, s3):
         s3, word_element(s3, g_text), word_element(s3, y_text), 4) != 0
 
 
-def test_engel_group_report_modes(s4, class3_p5):
-    assert is_n_engel_group(s4, 2).mode == "all-pairs"
-    big = is_n_engel_group(class3_p5, 3)
-    assert big.holds
-    assert big.mode == "class-reduced"
+def test_engel_group_matches_all_pairs_scan(s3, s4, q8, d16, class3_p2,
+                                           class3_p5):
+    for group in (s3, s4, q8, d16, class3_p2):
+        for n in range(1, 5):
+            naive = all(engel_bracket(group, x, y, n) == 0
+                        for x in range(group.size) for y in range(group.size))
+            assert is_n_engel_group(group, n).holds == naive
+    assert is_n_engel_group(class3_p5, 3).holds
 
 
 def test_nilpotent_groups_are_n_engel_at_their_class(class4_group, class3_p2):

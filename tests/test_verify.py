@@ -13,6 +13,7 @@ from baerkit.verify import (
     build_group,
     check_expected_invariants,
     check_product_decomposition,
+    check_quotient_two_baer,
     class3_p_group_presentation,
     class4_2group_presentation,
     cyclic_presentation,
@@ -221,17 +222,35 @@ def test_full_suite_rejects_unknown_check_ids():
         run_full_suite(parse_corpus_text(CORPUS_TEXT), checks=("no-such-check",))
 
 
-def test_exhaustive_threshold_reaches_the_engel_tests(class3_p3):
-    out = run_example_checks(primes=(3,), exhaustive_threshold=100)
-    odd = {c["id"]: c for c in out["reports"][1]["checks"]}["odd-p-class-three"]
-    assert odd["status"] == "pass"
-    assert odd["details"]["engel_mode"] == "class-reduced"
+def test_exhaustive_threshold_leaves_the_engel_tests_alone(class3_p3):
     entry = CorpusEntry("class3-p3", partial(build_class3_p_group, 3))
-    for threshold, mode in ((100, "class-reduced"), (2048, "all-pairs")):
-        out = run_full_suite([entry], checks=("solubility-and-engel",),
+    checks = ("odd-p-class-three", "solubility-and-engel")
+    small, large = (run_full_suite([entry], checks=checks,
+                                   exhaustive_threshold=t)
+                    for t in (100, 2048))
+    assert small["reports"] == large["reports"]
+    statuses = [c["status"] for c in small["reports"][0]["checks"]]
+    assert statuses == ["pass", "pass"]
+
+
+def test_exhaustive_threshold_reaches_generated_subgroup_class(class4_group):
+    entry = CorpusEntry("class4-2group", build_class4_2group)
+    for threshold, mode, count in ((2048, "exhaustive", 128),
+                                   (100, "sampled", 12)):
+        out = run_full_suite([entry], checks=("generated-subgroup-class",),
                              exhaustive_threshold=threshold)
         (check,) = out["reports"][0]["checks"]
-        assert check["details"]["engel_mode"] == mode
+        assert check["status"] == "pass"
+        assert check["details"]["per_d"]["1"] == {
+            "bound": 4, "count": count, "mode": mode}
+
+
+def test_quotient_two_baer_skips_when_t2_is_trivial(d8, class3_p3):
+    check = check_quotient_two_baer(d8)
+    assert check.status == "skipped"
+    assert check.details == {
+        "reason": "T_2 is trivial; the quotient is the group itself"}
+    assert check_quotient_two_baer(class3_p3).status == "pass"
 
 
 def test_example_checks_structure():
