@@ -8,6 +8,11 @@ search from the identity), so a*b is computed by following b's word
 through the columns starting at a.  Memory stays O(size * generators);
 no full multiplication table is ever built.
 
+Whole-group maps (inverses, x -> [x, y], and g -> x^g behind centres,
+centralizers and normalizers) come from one fill along that BFS tree,
+ConcreteGroup._along_tree: value[child] = perm[letter][value[parent]],
+one numpy assignment per (depth, letter) bucket.
+
 Subgroups are plain element sets with a remembered generating list;
 closures are grown one right coset at a time (Dimino's algorithm).
 The functions below (normal closures, central series, quotients, direct
@@ -18,6 +23,8 @@ from __future__ import annotations
 
 import functools
 from math import lcm
+
+import numpy as np
 
 from .presentation import GroupPresentation, Word, free_reduce
 
@@ -116,7 +123,6 @@ class ConcreteGroup:
         rep: list[bytes | None] = [None] * n
         rep[0] = b""
         order = [0]
-        edges: list[tuple[int, int, int]] = []  # (child, parent, letter)
         cols = self.cols
         ncols = len(cols)
         for e in order:
@@ -126,11 +132,9 @@ class ConcreteGroup:
                 if rep[c] is None:
                     rep[c] = base + bytes([l])
                     order.append(c)
-                    edges.append((c, e, l))
         if any(r is None for r in rep):
             raise GroupError("columns do not generate a transitive action")
         self.rep_word: list[bytes] = rep  # type: ignore[assignment]
-        self._bfs_edges = edges
 
     # -- element arithmetic ------------------------------------------------
 
@@ -156,13 +160,10 @@ class ConcreteGroup:
 
     @cached_property
     def _inv(self) -> list[int]:
-        # (parent * letter)^-1 = letter^-1 * parent^-1
-        left = [self.left_mult_perm(self.cols[l ^ 1][0])
-                for l in range(len(self.cols))]
-        inv = [0] * self.size
-        for child, par, l in self._bfs_edges:
-            inv[child] = left[l][inv[par]]
-        return inv
+        # (parent * s)^-1 = s^-1 * parent^-1, and s^-1 * y = (y * s^-1)^s
+        cols, conj = self._npcols, self._conj_perms
+        left = [conj[l][cols[l ^ 1]] for l in range(len(cols))]
+        return self._along_tree(0, left).tolist()
 
     def inv(self, a: int) -> int:
         return self._inv[a]
@@ -214,96 +215,65 @@ class ConcreteGroup:
             syll.append((g, 1 if l % 2 == 0 else -1))
         return free_reduce(Word(tuple(syll)))
 
-    # -- bulk permutation helpers -------------------------------------------
-
-    def left_mult_perm(self, g: int) -> list[int]:
-        """The permutation e -> g*e, computed in one BFS sweep."""
-        lam = [0] * self.size
-        lam[0] = g
-        cols = self.cols
-        for child, par, l in self._bfs_edges:
-            lam[child] = cols[l][lam[par]]
-        return lam
+    # -- whole-group maps along the BFS tree ---------------------------------
 
     @cached_property
     def _npcols(self):
-        import numpy as np
-
         return np.array(self.cols, dtype=np.int64)
 
-    def _right_mult_np(self, g: int):
-        import numpy as np
+    @cached_property
+    def _tree(self):
+        """BFS tree edges as (letter, parents, children) index arrays,
+        bucketed by (depth, letter) and in depth order.  A child's depth
+        and letter are the length and last letter of its word, and its
+        parent is the child times that letter's inverse."""
+        buckets: dict[tuple[int, int], list[int]] = {}
+        for c, w in enumerate(self.rep_word[1:], 1):
+            buckets.setdefault((len(w), w[-1]), []).append(c)
+        cols = self._npcols
+        out = []
+        for (_, l), cs in sorted(buckets.items()):
+            children = np.array(cs, dtype=np.int64)
+            out.append((l, cols[l ^ 1][children], children))
+        return out
 
-        npcols = self._npcols
-        cur = np.arange(self.size, dtype=np.int64)
-        for l in self.rep_word[g]:
-            cur = npcols[l][cur]
-        return cur
+    def _along_tree(self, root: int, perms):
+        """The map v with v[0] = root and v[child] = perms[l][v[parent]]
+        for each tree edge parent -l-> child, as a numpy array.
 
-    def conj_perm(self, g: int) -> list[int]:
-        """The permutation e -> g^-1*e*g."""
-        rho = self._right_mult_np(g).tolist()
-        lam = self.left_mult_perm(self.inv(g))
-        return [lam[x] for x in rho]
+        With perms the letter columns this is e -> root*e; with
+        _conj_perms it is g -> root^g."""
+        v = np.empty(self.size, dtype=np.int64)
+        v[0] = root
+        for l, parents, children in self._tree:
+            v[children] = perms[l][v[parents]]
+        return v
 
     @cached_property
-    def _gen_conj_perms(self) -> list[list[int]]:
-        return [self.conj_perm(self.gen_element(i)) for i in range(self.ngens)]
-
-    @cached_property
-    def _letter_conj_perms(self):
-        """Conjugation permutation per generator letter, as numpy arrays."""
-        import numpy as np
-
-        return [
-            np.array(self.conj_perm(self.cols[l][0]), dtype=np.int64)
-            for l in range(len(self.cols))
-        ]
-
-    @cached_property
-    def _edge_groups(self):
-        """BFS tree edges bucketed by (depth, letter) as index arrays.
-
-        Buckets come out in depth order, so a map defined by the
-        recurrence value[child] = f(letter, value[parent]) can be filled
-        with one vectorized assignment per bucket."""
-        import numpy as np
-
-        depth = [0] * self.size
-        bucket: dict[tuple[int, int], tuple[list, list]] = {}
-        for child, par, l in self._bfs_edges:
-            d = depth[par] + 1
-            depth[child] = d
-            ps, cs = bucket.setdefault((d, l), ([], []))
-            ps.append(par)
-            cs.append(child)
-        return [
-            (l, np.array(ps, dtype=np.int64), np.array(cs, dtype=np.int64))
-            for (d, l), (ps, cs) in sorted(bucket.items())
-        ]
+    def _conj_perms(self):
+        """Per letter s, the permutation e -> s^-1*e*s as a numpy array."""
+        cols = self._npcols
+        return [self._along_tree(self.cols[l ^ 1][0], cols)[cols[l]]
+                for l in range(len(cols))]
 
     def comm_with_perm(self, y: int):
         """The full map x -> [x, y] as a numpy array.
 
-        Since [x, y] = (y^-1)^x * y and conjugates of the fixed element
-        y^-1 propagate along the BFS tree (an element is parent times
-        letter), the whole map costs a handful of vectorized passes.
-        Iterating the map computes left-normed brackets: applying it n
-        times to x yields [x, y, y, ..., y] with n copies of y."""
-        import numpy as np
-
-        perms = self._letter_conj_perms
-        v = np.zeros(self.size, dtype=np.int64)
-        v[0] = self.inv(y)
-        for l, parents, children in self._edge_groups:
-            v[children] = perms[l][v[parents]]
-        return self._right_mult_np(y)[v]
+        Since [x, y] = (y^-1)^x * y, this is the tree fill of x ->
+        (y^-1)^x followed by y's word.  Iterating the map computes
+        left-normed brackets: applying it n times to x yields
+        [x, y, y, ..., y] with n copies of y."""
+        v = self._along_tree(self.inv(y), self._conj_perms)
+        cols = self._npcols
+        for l in self.rep_word[y]:
+            v = cols[l][v]
+        return v
 
     # -- conjugacy ------------------------------------------------------------
 
     @cached_property
     def _classes(self) -> list[list[int]]:
-        perms = self._gen_conj_perms
+        perms = [p.tolist() for p in self._conj_perms[::2]]
         seen = [False] * self.size
         classes = []
         for e in range(self.size):
@@ -320,24 +290,12 @@ class ConcreteGroup:
             classes.append(sorted(orbit))
         return classes
 
-    @cached_property
-    def _class_index(self) -> list[int]:
-        idx = [0] * self.size
-        for i, cl in enumerate(self.conjugacy_classes()):
-            for x in cl:
-                idx[x] = i
-        return idx
-
     def conjugacy_classes(self) -> list[list[int]]:
         """Classes as sorted element lists, ordered by least member."""
         return self._classes
 
     def class_reps(self) -> list[int]:
         return [cl[0] for cl in self.conjugacy_classes()]
-
-    def class_of(self, e: int) -> list[int]:
-        """The conjugacy class containing e, as a sorted list."""
-        return self.conjugacy_classes()[self._class_index[e]]
 
     def __repr__(self):
         name = self.meta.get("name")
@@ -594,9 +552,7 @@ def is_metabelian(g) -> bool:
 
 
 def center(group: ConcreteGroup) -> Subgroup:
-    perms = group._gen_conj_perms
-    elems = [e for e in range(group.size) if all(p[e] == e for p in perms)]
-    return Subgroup.from_elements(group, elems)
+    return centralizer(group, group.generator_elements())
 
 
 def upper_central_series(group: ConcreteGroup) -> list[Subgroup]:
@@ -605,17 +561,16 @@ def upper_central_series(group: ConcreteGroup) -> list[Subgroup]:
     Uses the pullback description elementwise: g lies in Z_{i+1} exactly
     when [g, s] falls in Z_i for every generator s."""
     series = [center(group)]
+    comms = [group.comm_with_perm(s) for s in group.generator_elements()]
     while True:
         cur = series[-1]
         if cur.is_whole():
             break
-        gens = group.generator_elements()
-        elems = [
-            e
-            for e in range(group.size)
-            if all(group.comm(e, s) in cur.elemset for s in gens)
-        ]
-        nxt = Subgroup.from_elements(group, elems)
+        member = _mask(group, cur.elements)
+        keep = np.ones(group.size, dtype=bool)
+        for c in comms:
+            keep &= member[c]
+        nxt = _from_mask(group, keep)
         if nxt.elemset == cur.elemset:
             break
         series.append(nxt)
@@ -623,11 +578,11 @@ def upper_central_series(group: ConcreteGroup) -> list[Subgroup]:
 
 
 def centralizer(group: ConcreteGroup, elements) -> Subgroup:
-    keep = range(group.size)
+    conj = group._conj_perms
+    keep = np.ones(group.size, dtype=bool)
     for x in elements:
-        sigma = group.conj_perm(x)
-        keep = [e for e in keep if sigma[e] == e]
-    return Subgroup.from_elements(group, list(keep))
+        keep &= group._along_tree(x, conj) == x
+    return _from_mask(group, keep)
 
 
 def normalizer(group: ConcreteGroup, h: Subgroup) -> Subgroup:
@@ -635,12 +590,22 @@ def normalizer(group: ConcreteGroup, h: Subgroup) -> Subgroup:
     conjugation by a fixed g is injective on the finite set h."""
     if h.group is not group:
         raise GroupError("subgroup belongs to a different group")
-    elems = [
-        g
-        for g in range(group.size)
-        if all(group.conj(x, g) in h.elemset for x in h.gens)
-    ]
-    return Subgroup.from_elements(group, elems)
+    member = _mask(group, h.elements)
+    conj = group._conj_perms
+    keep = np.ones(group.size, dtype=bool)
+    for x in h.gens:
+        keep &= member[group._along_tree(x, conj)]
+    return _from_mask(group, keep)
+
+
+def _mask(group: ConcreteGroup, elements):
+    mask = np.zeros(group.size, dtype=bool)
+    mask[list(elements)] = True
+    return mask
+
+
+def _from_mask(group: ConcreteGroup, keep) -> Subgroup:
+    return Subgroup.from_elements(group, np.flatnonzero(keep).tolist())
 
 
 def exponent(g) -> int:

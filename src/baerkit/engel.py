@@ -3,8 +3,9 @@
 All brackets are left normed: [x, y, z] means [[x, y], z] and
 [x, n*y] abbreviates [x, y, ..., y] with n copies of y.  The workhorse
 is ConcreteGroup.comm_with_perm, which tabulates x -> [x, y] for a
-fixed y; applying that table n times computes [x, n*y] for every x at
-once, so Engel conditions reduce to a few vectorized passes per y.
+fixed y with the one BFS-tree fill of core (ConcreteGroup._along_tree);
+applying that table n times computes [x, n*y] for every x at once, so
+Engel conditions reduce to a few vectorized passes per y.
 """
 
 from __future__ import annotations

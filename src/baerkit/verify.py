@@ -481,17 +481,11 @@ def check_metabelian_identity_suite(
     if not is_metabelian(group):
         return _skip(cid, "group is not metabelian")
     results = check_metabelian_identities(group, seed=seed, trials=trials)
-    failed = [r for r in results if r.holds is False]
     details = {
         "identities": {r.name: {"mode": r.mode, "trials": r.trials}
                        for r in results},
     }
-    if failed:
-        details["failures"] = [r.name for r in failed]
-        witness = failed[0].witness
-        return _verdict(cid, False, details,
-                        witness=", ".join(witness) if witness else None)
-    return _verdict(cid, True, details)
+    return _identities_verdict(cid, results, details)
 
 
 def check_expansion(group: ConcreteGroup, *, seed: int = 0,
@@ -506,18 +500,22 @@ def check_expansion(group: ConcreteGroup, *, seed: int = 0,
     results = check_expansion_formula(
         group, n_values=n_values, trials=trials, seed=seed,
         exhaustive_order_bound=64)
-    failed = [r for r in results if r.holds is False]
     details = {
         "n_values": list(n_values),
         "mode": results[0].mode if results else "exhaustive",
         "pairs": results[0].trials if results else 0,
     }
-    if failed:
-        details["failures"] = [r.name for r in failed]
-        witness = failed[0].witness
-        return _verdict(cid, False, details,
-                        witness=", ".join(witness) if witness else None)
-    return _verdict(cid, True, details)
+    return _identities_verdict(cid, results, details)
+
+
+def _identities_verdict(cid: str, results, details: dict) -> TheoremCheck:
+    """Pass when every identity holds; otherwise list the failing ones and
+    report the first one's witness as it stands."""
+    failed = [r for r in results if r.holds is False]
+    if not failed:
+        return _verdict(cid, True, details)
+    details["failures"] = [r.name for r in failed]
+    return _verdict(cid, False, details, witness=failed[0].witness)
 
 
 def check_odd_p_metabelian_class(group: ConcreteGroup, *,

@@ -158,6 +158,34 @@ def naive_center(g):
         if all(g.mult(a, b) == g.mult(b, a) for b in range(g.size)))
 
 
+def naive_centralizer(g, xs):
+    return frozenset(
+        a for a in range(g.size)
+        if all(g.mult(a, x) == g.mult(x, a) for x in xs))
+
+
+def naive_normalizer(g, h):
+    """Elements a with h^a = h, testing every member of h."""
+    return frozenset(
+        a for a in range(g.size) if all(naive_conj(g, x, a) in h for x in h))
+
+
+def naive_upper_central_series(g):
+    """Z_1 <= Z_2 <= ... as frozensets, where a lies in Z_{i+1} when
+    [a, b] lies in Z_i for every b in the group; stops at the whole group
+    or where the series stalls."""
+    series = [naive_center(g)]
+    while len(series[-1]) < g.size:
+        cur = series[-1]
+        nxt = frozenset(
+            a for a in range(g.size)
+            if all(naive_comm(g, a, b) in cur for b in range(g.size)))
+        if nxt == cur:
+            break
+        series.append(nxt)
+    return series
+
+
 def naive_all_subgroups(g):
     """Every subgroup, as frozensets: cyclic subgroups closed under joins."""
     subs = {naive_closure(g, [a]) for a in range(g.size)}

@@ -31,7 +31,10 @@ from oracles import (
     d8_model,
     find_isomorphism,
     naive_center,
+    naive_centralizer,
+    naive_normalizer,
     naive_order,
+    naive_upper_central_series,
     q8_model,
     s3_model,
 )
@@ -143,16 +146,51 @@ def test_conjugation_preserves_order_and_class(s4):
         g = rng.randrange(s4.size)
         y = s4.conj(x, g)
         assert s4.element_order(x) == s4.element_order(y)
-        assert s4.class_of(x) == s4.class_of(y)
+        assert any(x in cl and y in cl for cl in s4.conjugacy_classes())
 
 
-def test_comm_with_perm_matches_pointwise(s4):
+@pytest.fixture(scope="module")
+def map_groups(s3, s4, q8, d16, class3_p2):
+    """Groups for the whole-group maps: presented ones, a quotient and a
+    direct product."""
+    return [s4, q8, d16, class3_p2, quotient(d16, center(d16)),
+            direct_product(q8, s3)]
+
+
+def test_comm_with_perm_matches_pointwise(map_groups):
     rng = random.Random(13)
-    for _ in range(10):
-        y = rng.randrange(s4.size)
-        table = s4.comm_with_perm(y)
-        for x in range(s4.size):
-            assert table[x] == s4.comm(x, y)
+    for group in map_groups:
+        n = group.size
+        for e in range(n):
+            assert group.mult(e, group.inv(e)) == 0
+        for l, perm in enumerate(group._conj_perms):
+            s = group.cols[l][0]
+            assert perm.tolist() == [group.conj(e, s) for e in range(n)]
+        picks = group.generator_elements() + [rng.randrange(n) for _ in range(4)]
+        for y in picks:
+            table = group.comm_with_perm(y)
+            assert table.tolist() == [group.comm(x, y) for x in range(n)]
+            conj = group._along_tree(y, group._conj_perms)
+            assert conj.tolist() == [group.conj(y, g) for g in range(n)]
+
+
+def test_whole_group_maps_agree_with_naive_scans(map_groups):
+    rng = random.Random(17)
+    for group in map_groups:
+        n = group.size
+        assert frozenset(center(group).elements) == naive_center(group)
+        assert [frozenset(z.elements) for z in upper_central_series(group)] \
+            == naive_upper_central_series(group)
+        for _ in range(3):
+            xs = [rng.randrange(n) for _ in range(rng.randrange(1, 3))]
+            assert frozenset(centralizer(group, xs).elements) \
+                == naive_centralizer(group, xs)
+            h = Subgroup.generated(group, xs)
+            assert frozenset(normalizer(group, h).elements) \
+                == naive_normalizer(group, h.elemset)
+        assert centralizer(group, []).is_whole()
+        assert normalizer(group, Subgroup.trivial(group)).is_whole()
+        assert normalizer(group, Subgroup.whole(group)).is_whole()
 
 
 def test_nilpotency_class_frozen(s3, s4, d8, d16, q8):

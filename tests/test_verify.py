@@ -4,6 +4,7 @@ import pytest
 
 from baerkit import verify
 from baerkit.core import GroupError
+from baerkit.engel import IdentityCheck
 from baerkit.subnormal import GENERALIZED_T2, TWO_BAER, cyclic_defect
 from baerkit.verify import (
     CorpusEntry,
@@ -215,6 +216,21 @@ def test_full_suite_never_calls_a_filtered_out_check(monkeypatch):
     out = run_full_suite(_driver_corpus(), checks=("quotient-two-baer",))
     assert all([c["id"] for c in rep["checks"]] == ["quotient-two-baer"]
                for rep in out["reports"])
+
+
+@pytest.mark.parametrize("check, patched", [
+    ("check_metabelian_identity_suite", "check_metabelian_identities"),
+    ("check_expansion", "check_expansion_formula"),
+])
+def test_failing_identity_check_reports_its_witness_verbatim(
+        monkeypatch, d8, check, patched):
+    failing = [IdentityCheck("ok", True, "exhaustive", 4),
+               IdentityCheck("broken", False, "exhaustive", 4, "r, s*r")]
+    monkeypatch.setattr(verify, patched, lambda *a, **k: failing)
+    result = getattr(verify, check)(d8)
+    assert result.status == "fail"
+    assert result.witness == "r, s*r"
+    assert result.details["failures"] == ["broken"]
 
 
 def test_full_suite_rejects_unknown_check_ids():
