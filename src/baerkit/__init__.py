@@ -45,6 +45,7 @@ from .engel import (
 from .presentation import (
     GroupPresentation,
     PresentationError,
+    WordLimitError,
     Word,
     commutator_word,
     engel_word,

@@ -16,7 +16,7 @@ import sys
 
 from .core import GroupError
 from .coset import DEFAULT_MAX_COSETS, EnumerationLimitError
-from .presentation import PresentationError, parse_word
+from .presentation import PresentationError, WordLimitError, parse_word
 from .subnormal import DEFAULT_CAP, classify, cyclic_defect
 from .verify import (
     DEFAULT_EXHAUSTIVE_THRESHOLD,
@@ -151,7 +151,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_defect(args) -> int:
     group = _build_from_file(args.path, args.max_cosets)
-    w = parse_word(args.word, group.gen_names)
+    w = parse_word(args.word, group.gen_names, args.max_cosets)
     e = group.word_to_element(w)
     cap = max(args.defect_cap, args.n)
     res = cyclic_defect(group, e, cap=cap)
@@ -237,7 +237,8 @@ def cmd_check_theorems(args) -> int:
     corpus = None
     if args.corpus is not None:
         with open(args.corpus, encoding="utf-8") as fh:
-            corpus = parse_corpus_text(fh.read(), source=args.corpus)
+            corpus = parse_corpus_text(fh.read(), source=args.corpus,
+                                       max_cosets=args.max_cosets)
     report = run_full_suite(
         corpus, seed=args.seed, max_cosets=args.max_cosets,
         defect_cap=args.defect_cap,
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationLimitError as exc:
+    except (EnumerationLimitError, WordLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (PresentationError, GroupError, OSError, ValueError) as exc:

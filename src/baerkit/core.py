@@ -11,7 +11,9 @@ no full multiplication table is ever built.
 Whole-group maps (inverses, x -> [x, y], and g -> x^g behind centres,
 centralizers and normalizers) come from one fill along that BFS tree,
 ConcreteGroup._along_tree: value[child] = perm[letter][value[parent]],
-one numpy assignment per (depth, letter) bucket.
+one numpy assignment per (depth, letter) bucket.  Arithmetic on whole
+index arrays (mult_batch, comm_batch, power_batch) walks the words
+kept as a uint8 letter matrix, one flat gather per letter.
 
 Subgroups are plain element sets with a remembered generating list;
 closures are grown one right coset at a time (Dimino's algorithm).
@@ -159,11 +161,15 @@ class ConcreteGroup:
         return a
 
     @cached_property
-    def _inv(self) -> list[int]:
+    def _inv_table(self):
         # (parent * s)^-1 = s^-1 * parent^-1, and s^-1 * y = (y * s^-1)^s
         cols, conj = self._npcols, self._conj_perms
-        left = [conj[l][cols[l ^ 1]] for l in range(len(cols))]
-        return self._along_tree(0, left).tolist()
+        left = [conj[l][cols[l ^ 1]] for l in range(len(self.cols))]
+        return self._along_tree(0, left)
+
+    @cached_property
+    def _inv(self) -> list[int]:
+        return self._inv_table.tolist()
 
     def inv(self, a: int) -> int:
         return self._inv[a]
@@ -219,7 +225,8 @@ class ConcreteGroup:
 
     @cached_property
     def _npcols(self):
-        return np.array(self.cols, dtype=np.int64)
+        # The letter columns, then the identity row that _words pads with.
+        return np.array(self.cols + [range(self.size)], dtype=np.int64)
 
     @cached_property
     def _tree(self):
@@ -254,7 +261,7 @@ class ConcreteGroup:
         """Per letter s, the permutation e -> s^-1*e*s as a numpy array."""
         cols = self._npcols
         return [self._along_tree(self.cols[l ^ 1][0], cols)[cols[l]]
-                for l in range(len(cols))]
+                for l in range(len(self.cols))]
 
     def comm_with_perm(self, y: int):
         """The full map x -> [x, y] as a numpy array.
@@ -268,6 +275,50 @@ class ConcreteGroup:
         for l in self.rep_word[y]:
             v = cols[l][v]
         return v
+
+    # -- batched arithmetic over index arrays ------------------------------
+
+    @cached_property
+    def _words(self):
+        """The representative words as a depth-major (depth, size) uint8
+        letter matrix padded with the identity letter len(cols), and
+        each word's length.  Filled along the BFS tree: a child's word
+        is its parent's word and then the edge letter."""
+        lengths = np.fromiter(map(len, self.rep_word), np.int64, self.size)
+        letters = np.full((lengths.max(), self.size), len(self.cols), np.uint8)
+        for l, parents, children in self._tree:
+            d = lengths[children[0]]
+            letters[:d - 1, children] = letters[:d - 1, parents]
+            letters[d - 1, children] = l
+        return letters, lengths
+
+    def mult_batch(self, a, b):
+        """a*b elementwise over index arrays of one shape (or a scalar),
+        by one flat gather per letter of the longest word in b."""
+        letters, lengths = self._words
+        flat, n = self._npcols.ravel(), np.int64(self.size)
+        for row in letters[:lengths[b].max(initial=0), b]:
+            # Widen the uint8 letters before scaling: numpy 1.x would
+            # keep letter * n in a small integer type and wrap.
+            a = flat[np.multiply(row, n, dtype=np.int64) + a]
+        return a
+
+    def comm_batch(self, a, b):
+        return self.mult_batch(self._inv_table[self.mult_batch(b, a)],
+                               self.mult_batch(a, b))
+
+    def power_batch(self, a, k: int):
+        """a^k elementwise; a negative k powers the inverses."""
+        if k < 0:
+            a, k = self._inv_table[a], -k
+        out = None
+        while k:
+            if k & 1:
+                out = a if out is None else self.mult_batch(out, a)
+            k >>= 1
+            if k:
+                a = self.mult_batch(a, a)
+        return np.zeros_like(a) if out is None else out
 
     # -- conjugacy ------------------------------------------------------------
 

@@ -6,6 +6,10 @@ is ConcreteGroup.comm_with_perm, which tabulates x -> [x, y] for a
 fixed y with the one BFS-tree fill of core (ConcreteGroup._along_tree);
 applying that table n times computes [x, n*y] for every x at once, so
 Engel conditions reduce to a few vectorized passes per y.
+
+The identity checks and engel_bracket run on core's batched arithmetic
+(ConcreteGroup.mult_batch and friends) over all input tuples at once; a
+failure is reported at the first tuple, in input order, that fails.
 """
 
 from __future__ import annotations
@@ -89,14 +93,14 @@ class IdentityCheck:
     note: str | None = None
 
 
-def engel_bracket(group: ConcreteGroup, x: int, y: int, n: int) -> int:
-    """[x, y, y, ..., y] with n copies of y."""
+def engel_bracket(group: ConcreteGroup, x, y, n: int):
+    """[x, y, y, ..., y] with n copies of y, elementwise over index
+    arrays (or single elements)."""
     if n < 1:
         raise GroupError("bracket needs at least one copy of y")
-    c = x
     for _ in range(n):
-        c = group.comm(c, y)
-    return c
+        x = group.comm_batch(x, y)
+    return x
 
 
 def _iterated(perm: np.ndarray, n: int) -> np.ndarray:
@@ -124,16 +128,13 @@ def is_left_n_engel(group: ConcreteGroup, x: int, n: int) -> EngelReport:
 
 
 def is_right_n_engel(group: ConcreteGroup, x: int, n: int) -> EngelReport:
-    """Whether [x, g, ..., g] = 1 (n copies of g) for every g.
-
-    The answer is membership in right_engel_elements, which tests class
-    representatives g against every conjugate of x at once; on failure
-    a direct rescan pins a witness pair involving x itself."""
+    """Whether [x, g, ..., g] = 1 (n copies of g) for every g, by one
+    batched bracket against every g; the witness is the least failing g."""
     subject = str(group.element_word(x))
-    if x in right_engel_elements(group, n):
+    bad = engel_bracket(group, x, np.arange(group.size), n) != 0
+    if not bad.any():
         return EngelReport("right", n, True, subject)
-    g = next(h for h in range(group.size) if engel_bracket(group, x, h, n) != 0)
-    witness = (subject, str(group.element_word(g)))
+    witness = (subject, str(group.element_word(int(np.argmax(bad)))))
     return EngelReport("right", n, False, subject, witness)
 
 
@@ -195,6 +196,30 @@ def _pair_words(group: ConcreteGroup, *elems: int) -> str:
     return ", ".join(str(group.element_word(e)) for e in elems)
 
 
+def _identity(group: ConcreteGroup, name: str, mismatch, rng: random.Random,
+              pools, trials: int, label: str | None = None) -> IdentityCheck:
+    """One identity over the input tuples of `pools`, evaluated at once:
+    mismatch(*columns) masks the tuples whose sides differ.  With a
+    label, the last pool is a per-tuple n or m, and mismatch gets the
+    tuples sharing each value, then the value.  The witness is the first
+    masked tuple, the one a loop over the tuples in order stops at."""
+    tuples, mode = _inputs(rng, pools, trials, _EXHAUSTIVE_EVALS)
+    cols = np.array(tuples, dtype=np.int64).reshape(len(tuples), len(pools)).T
+    if label is None:
+        bad = mismatch(*cols)
+    else:
+        bad = np.zeros(len(tuples), dtype=bool)
+        for v in set(pools[-1]):
+            sel = cols[-1] == v
+            bad[sel] = mismatch(*(c[sel] for c in cols[:-1]), v)
+    witness = None
+    if bad.any():
+        t = tuples[int(np.argmax(bad))]
+        witness = (_pair_words(group, *t) if label is None else
+                   _pair_words(group, *t[:-1]) + f", {label}={t[-1]}")
+    return IdentityCheck(name, witness is None, mode, len(tuples), witness)
+
+
 def check_metabelian_identities(
     group: ConcreteGroup,
     trials: int = 200,
@@ -214,100 +239,79 @@ def check_metabelian_identities(
     if not is_metabelian(group):
         raise GroupError("group is not metabelian; these identities need not hold")
     rng = random.Random(seed)
-    checks: list[IdentityCheck] = []
-    derived = derived_subgroup(group).elements
-
+    mult, comm, power = group.mult_batch, group.comm_batch, group.power_batch
     elems = range(group.size)
-    triples, mode = _inputs(rng, (derived, elems, elems), trials,
-                            _EXHAUSTIVE_EVALS)
-    witness = None
-    for c, x, y in triples:
-        lhs = group.comm(group.comm(c, x), y)
-        rhs = group.comm(group.comm(c, y), x)
-        if lhs != rhs:
-            witness = _pair_words(group, c, x, y)
-            break
-    checks.append(
-        IdentityCheck("swap-entries-after-first", witness is None, mode, len(triples), witness)
-    )
 
-    quads, mode = _inputs(rng, (elems, elems, elems, engel_ns), trials,
-                          _EXHAUSTIVE_EVALS)
-    witness = None
-    for x, y, z, n in quads:
-        lhs = engel_bracket(group, group.mult(x, y), z, n)
+    def swap_rule(c, x, y):
+        return comm(comm(c, x), y) != comm(comm(c, y), x)
+
+    def product_rule(x, y, z, n):
         xz = engel_bracket(group, x, z, n)
-        rhs = group.mult(group.mult(xz, group.comm(xz, y)), engel_bracket(group, y, z, n))
-        if lhs != rhs:
-            witness = _pair_words(group, x, y, z) + f", n={n}"
-            break
-    checks.append(
-        IdentityCheck("product-in-first-slot", witness is None, mode, len(quads), witness)
-    )
+        rhs = mult(mult(xz, comm(xz, y)), engel_bracket(group, y, z, n))
+        return engel_bracket(group, mult(x, y), z, n) != rhs
 
+    def power_rule(x, y, z, m):
+        xy = comm(x, y)
+        want = power(comm(xy, z), m)
+        return ((comm(comm(power(x, m), y), z) != want)
+                | (comm(comm(x, power(y, m)), z) != want)
+                | (comm(xy, power(z, m)) != want))
+
+    derived = derived_subgroup(group).elements
+    checks = [
+        _identity(group, "swap-entries-after-first", swap_rule, rng,
+                  (derived, elems, elems), trials),
+        _identity(group, "product-in-first-slot", product_rule, rng,
+                  (elems, elems, elems, engel_ns), trials, "n"),
+    ]
     cls = nilpotency_class(group)
     if cls is None or cls > 3:
-        checks.append(
-            IdentityCheck(
-                "power-in-any-slot",
-                None,
-                "skipped",
-                0,
-                note=f"needs nilpotency class at most 3, group has {cls}",
-            )
-        )
-        return checks
-    exps = (-2, -1, 2, 3, 5)
-    cases, mode = _inputs(rng, (elems, elems, elems, exps), trials,
-                          _EXHAUSTIVE_EVALS)
-    witness = None
-    for x, y, z, m in cases:
-        want = group.power(group.comm(group.comm(x, y), z), m)
-        sides = (
-            group.comm(group.comm(group.power(x, m), y), z),
-            group.comm(group.comm(x, group.power(y, m)), z),
-            group.comm(group.comm(x, y), group.power(z, m)),
-        )
-        if any(s != want for s in sides):
-            witness = _pair_words(group, x, y, z) + f", m={m}"
-            break
-    checks.append(
-        IdentityCheck("power-in-any-slot", witness is None, mode, len(cases), witness)
-    )
+        checks.append(IdentityCheck(
+            "power-in-any-slot", None, "skipped", 0,
+            note=f"needs nilpotency class at most 3, group has {cls}"))
+    else:
+        checks.append(_identity(group, "power-in-any-slot", power_rule, rng,
+                                (elems, elems, elems, (-2, -1, 2, 3, 5)),
+                                trials, "m"))
     return checks
 
 
-def _expansion_sides(group: ConcreteGroup, x: int, y: int, n: int) -> tuple[int, int]:
-    """((x*y^-1)^n, its predicted expansion), both as element indices.
+def _expansion_holds(group: ConcreteGroup, x, y, n_values) -> list:
+    """Per n in n_values, the mask of pairs (x, y) (index arrays) where
+    (x*y^-1)^n equals its predicted expansion.
 
     The prediction is x^n * prod B(i,j)^C(n, i+j+1) * y^-n, the product
     over i >= 1, j >= 0 with 0 < i+j < n, where B(i,j) is the
     left-normed bracket [x, i*y, j*x].  Every factor is a commutator, so
     the product lands in the derived subgroup; that subgroup is abelian
     in the groups this applies to, which is why no factor order needs to
-    be fixed.
+    be fixed.  The brackets do not depend on n and are built once.
     """
-    lhs = group.power(group.mult(x, group.inv(y)), n)
-    rhs = group.power(x, n)
-    brackets: dict[tuple[int, int], int] = {}
-    for i in range(1, n):
-        b = group.comm(x, y) if i == 1 else group.comm(brackets[(i - 1, 0)], y)
+    mult, comm, power = group.mult_batch, group.comm_batch, group.power_batch
+    top = max(n_values, default=0)
+    brackets: dict[tuple[int, int], np.ndarray] = {}
+    for i in range(1, top):
+        b = comm(x if i == 1 else brackets[(i - 1, 0)], y)
         brackets[(i, 0)] = b
-        for j in range(1, n - i):
-            b = group.comm(b, x)
+        for j in range(1, top - i):
+            b = comm(b, x)
             brackets[(i, j)] = b
-    for (i, j), b in brackets.items():
-        rhs = group.mult(rhs, group.power(b, comb(n, i + j + 1)))
-    rhs = group.mult(rhs, group.power(y, -n))
-    return lhs, rhs
+    xy = mult(x, power(y, -1))
+    out = []
+    for n in n_values:
+        rhs = power(x, n)
+        for (i, j), b in brackets.items():
+            if i + j < n:
+                rhs = mult(rhs, power(b, comb(n, i + j + 1)))
+        out.append(power(xy, n) == mult(rhs, power(y, -n)))
+    return out
 
 
 def expansion_formula_holds(group: ConcreteGroup, x: int, y: int, n: int) -> bool:
     """Whether (x*y^-1)^n matches its commutator expansion for one pair."""
     if n < 1:
         raise GroupError("n must be at least 1")
-    lhs, rhs = _expansion_sides(group, x, y, n)
-    return lhs == rhs
+    return bool(_expansion_holds(group, np.array([x]), np.array([y]), (n,))[0][0])
 
 
 def check_expansion_formula(
@@ -328,15 +332,11 @@ def check_expansion_formula(
     elems = range(group.size)
     pairs, mode = _inputs(random.Random(seed), (elems, elems), trials,
                           exhaustive_order_bound ** 2)
+    x, y = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
     checks = []
-    for n in n_values:
-        witness = None
-        for x, y in pairs:
-            lhs, rhs = _expansion_sides(group, x, y, n)
-            if lhs != rhs:
-                witness = _pair_words(group, x, y)
-                break
-        checks.append(
-            IdentityCheck(f"power-expansion-n{n}", witness is None, mode, len(pairs), witness)
-        )
+    for n, ok in zip(n_values, _expansion_holds(group, x, y, n_values)):
+        # The first False in ok is the first failing pair in input order.
+        witness = None if ok.all() else _pair_words(group, *pairs[int(np.argmin(ok))])
+        checks.append(IdentityCheck(f"power-expansion-n{n}", witness is None,
+                                    mode, len(pairs), witness))
     return checks

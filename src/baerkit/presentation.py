@@ -8,7 +8,12 @@ Commutator brackets are left-normed ([a,b,c] means [[a,b],c]) and are
 expanded while parsing, so relators come out as plain freely reduced
 words.  A relation ``u = v`` is stored as the single relator ``u*v^-1``;
 a chain ``u = v = w`` pairs every earlier word with the last one, giving
-one relator per equated word.  ``1`` denotes the identity word.
+one relator per equated word.  ``1`` denotes the identity word.  With a
+syllable limit, a product, a power of a longer word or a commutator that
+would write out more syllables than the limit is refused before it is
+written out.  A syllable is a generator with its exponent, so
+``a^1000000000`` is one; the count is taken before free reduction, since
+the unreduced word is what gets written.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "PresentationError",
+    "WordLimitError",
     "Word",
     "word",
     "GroupPresentation",
@@ -43,6 +49,10 @@ class PresentationError(ValueError):
             message = f"{message} (at offset {position})"
         super().__init__(message)
         self.position = position
+
+
+class WordLimitError(RuntimeError):
+    """A word would be written out with more syllables than the limit."""
 
 
 def _reduced(syllables) -> tuple[tuple[str, int], ...]:
@@ -178,12 +188,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, generators: set[str] | None = None):
+    def __init__(self, text: str, generators: set[str] | None = None,
+                 max_syllables: int | None = None):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
         self.generators = generators
+        self.max_syllables = max_syllables
+
+    def fits(self, syllables: int, pos: int):
+        """Refuse a word of `syllables` syllables before writing it out."""
+        if self.max_syllables is not None and syllables > self.max_syllables:
+            raise WordLimitError(f"a word of {syllables} syllables exceeds the "
+                                 f"limit of {self.max_syllables} (at offset {pos})")
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", len(self.text))
@@ -205,8 +223,10 @@ class _Parser:
     def word(self) -> Word:
         acc = self.term()
         while self.peek()[1] == "*":
-            self.next()
-            acc = acc * self.term()
+            pos = self.next()[2]
+            t = self.term()
+            self.fits(len(acc.syllables) + len(t.syllables), pos)
+            acc = acc * t
         return acc
 
     # term := atom ("^" int)?
@@ -220,6 +240,8 @@ class _Parser:
             exp = int(val)
             if exp == 0:
                 raise PresentationError("zero exponent literal", pos)
+            if len(atom.syllables) > 1:
+                self.fits(len(atom.syllables) * abs(exp), pos)
             return atom**exp
         return atom
 
@@ -246,6 +268,10 @@ class _Parser:
             self.expect("]")
             if len(parts) < 2:
                 raise PresentationError("commutator needs at least two arguments", pos)
+            size = len(parts[0].syllables)
+            for part in parts[1:]:
+                size = 2 * (size + len(part.syllables))
+            self.fits(size, pos)
             return commutator_word(*parts)
         raise PresentationError(f"unexpected {val or 'end of input'!r}", pos)
 
@@ -267,13 +293,15 @@ class _Parser:
         return words
 
 
-def parse_presentation(text: str) -> GroupPresentation:
+def parse_presentation(text: str,
+                       max_syllables: int | None = None) -> GroupPresentation:
     """Parse presentation text into a GroupPresentation.
 
     Raises PresentationError (offset-annotated) on syntax errors,
-    undeclared generators, and zero exponent literals.
+    undeclared generators, and zero exponent literals, and WordLimitError
+    past max_syllables.
     """
-    p = _Parser(text)
+    p = _Parser(text, max_syllables=max_syllables)
     kind, val, pos = p.next()
     if val != "gens":
         raise PresentationError("input must start with 'gens:'", pos)
@@ -316,9 +344,9 @@ def parse_presentation(text: str) -> GroupPresentation:
     return GroupPresentation(tuple(gens), tuple(relators))
 
 
-def parse_word(text: str, generators) -> Word:
+def parse_word(text: str, generators, max_syllables: int | None = None) -> Word:
     """Parse a single word expression over the given generator names."""
-    p = _Parser(text, set(generators))
+    p = _Parser(text, set(generators), max_syllables)
     if p.at_end():
         raise PresentationError("empty word expression", 0)
     w = p.word()

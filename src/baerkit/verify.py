@@ -178,7 +178,7 @@ def class3_p_group_presentation(p: int) -> str:
 def build_group(text: str, name: str = "",
                 max_cosets: int = DEFAULT_MAX_COSETS) -> ConcreteGroup:
     """Parse a presentation and realize it as a concrete group."""
-    pres = parse_presentation(text)
+    pres = parse_presentation(text, max_syllables=max_cosets)
     table = enumerate_cosets(pres, max_cosets=max_cosets)
     group = to_group(table)
     if name:
@@ -714,7 +714,8 @@ def _product_builder(name: str, left: Callable[[int], ConcreteGroup],
     return build
 
 
-def parse_corpus_text(text: str, source: str = "<corpus>") -> list[CorpusEntry]:
+def parse_corpus_text(text: str, source: str = "<corpus>",
+                      max_cosets: int = DEFAULT_MAX_COSETS) -> list[CorpusEntry]:
     """Parse a corpus file: one group per line as 'name | presentation',
     with blank lines and # comments ignored."""
     entries = []
@@ -729,7 +730,7 @@ def parse_corpus_text(text: str, source: str = "<corpus>") -> list[CorpusEntry]:
             raise GroupError(
                 f"{source}:{lineno}: expected 'name | presentation'")
         try:
-            parse_presentation(body)
+            parse_presentation(body, max_syllables=max_cosets)
         except PresentationError as exc:
             raise GroupError(f"{source}:{lineno}: {exc}") from exc
         entries.append(CorpusEntry(name, _presentation_builder(name, body)))

@@ -7,7 +7,9 @@ The algorithms are deliberately the slow, obvious ones.
 
 from __future__ import annotations
 
+import random
 from collections import deque
+from math import comb
 
 
 def compose(p, q):
@@ -276,3 +278,116 @@ def find_isomorphism(group, oracle, images):
     return all(
         phi[group.mult(a, b)] == oracle.mult(phi[a], phi[b])
         for a in range(group.size) for b in range(group.size))
+
+
+# -- scalar references for the batched identity checks ------------------------
+#
+# The loops below evaluate one input tuple at a time through scalar
+# mult/comm/power and stop at the first failing tuple.  They draw their
+# tuples from the same engel._inputs, so the batched checks must return
+# equal IdentityCheck lists, witnesses included.  The metabelian guard is
+# left to the caller.
+
+def _scalar_bracket(g, x, y, n):
+    for _ in range(n):
+        x = g.comm(x, y)
+    return x
+
+
+def _words(g, *elems):
+    return ", ".join(str(g.element_word(e)) for e in elems)
+
+
+def scalar_metabelian_identities(group, trials=200, seed=0, engel_ns=(1, 2, 3)):
+    # Through the engel module, so a test that monkeypatches its
+    # nilpotency_class reaches this reference too.
+    from baerkit import engel
+
+    rng = random.Random(seed)
+    checks = []
+    derived = engel.derived_subgroup(group).elements
+    elems = range(group.size)
+    _inputs, IdentityCheck = engel._inputs, engel.IdentityCheck
+
+    triples, mode = _inputs(rng, (derived, elems, elems), trials,
+                            engel._EXHAUSTIVE_EVALS)
+    witness = None
+    for c, x, y in triples:
+        if group.comm(group.comm(c, x), y) != group.comm(group.comm(c, y), x):
+            witness = _words(group, c, x, y)
+            break
+    checks.append(IdentityCheck("swap-entries-after-first", witness is None,
+                                mode, len(triples), witness))
+
+    quads, mode = _inputs(rng, (elems, elems, elems, engel_ns), trials,
+                          engel._EXHAUSTIVE_EVALS)
+    witness = None
+    for x, y, z, n in quads:
+        lhs = _scalar_bracket(group, group.mult(x, y), z, n)
+        xz = _scalar_bracket(group, x, z, n)
+        rhs = group.mult(group.mult(xz, group.comm(xz, y)),
+                         _scalar_bracket(group, y, z, n))
+        if lhs != rhs:
+            witness = _words(group, x, y, z) + f", n={n}"
+            break
+    checks.append(IdentityCheck("product-in-first-slot", witness is None,
+                                mode, len(quads), witness))
+
+    cls = engel.nilpotency_class(group)
+    if cls is None or cls > 3:
+        checks.append(IdentityCheck(
+            "power-in-any-slot", None, "skipped", 0,
+            note=f"needs nilpotency class at most 3, group has {cls}"))
+        return checks
+    cases, mode = _inputs(rng, (elems, elems, elems, (-2, -1, 2, 3, 5)),
+                          trials, engel._EXHAUSTIVE_EVALS)
+    witness = None
+    for x, y, z, m in cases:
+        want = group.power(group.comm(group.comm(x, y), z), m)
+        sides = (
+            group.comm(group.comm(group.power(x, m), y), z),
+            group.comm(group.comm(x, group.power(y, m)), z),
+            group.comm(group.comm(x, y), group.power(z, m)),
+        )
+        if any(s != want for s in sides):
+            witness = _words(group, x, y, z) + f", m={m}"
+            break
+    checks.append(IdentityCheck("power-in-any-slot", witness is None,
+                                mode, len(cases), witness))
+    return checks
+
+
+def scalar_expansion_sides(group, x, y, n):
+    """(x*y^-1)^n and x^n * prod [x, i*y, j*x]^C(n, i+j+1) * y^-n."""
+    lhs = group.power(group.mult(x, group.inv(y)), n)
+    rhs = group.power(x, n)
+    brackets = {}
+    for i in range(1, n):
+        b = group.comm(x, y) if i == 1 else group.comm(brackets[(i - 1, 0)], y)
+        brackets[(i, 0)] = b
+        for j in range(1, n - i):
+            b = group.comm(b, x)
+            brackets[(i, j)] = b
+    for (i, j), b in brackets.items():
+        rhs = group.mult(rhs, group.power(b, comb(n, i + j + 1)))
+    return lhs, group.mult(rhs, group.power(y, -n))
+
+
+def scalar_expansion_formula(group, n_values=(1, 2, 3, 4, 5, 6), trials=200,
+                             seed=0, exhaustive_order_bound=64):
+    from baerkit.engel import IdentityCheck, _inputs
+
+    elems = range(group.size)
+    pairs, mode = _inputs(random.Random(seed), (elems, elems), trials,
+                          exhaustive_order_bound ** 2)
+    checks = []
+    for n in n_values:
+        witness = None
+        for x, y in pairs:
+            lhs, rhs = scalar_expansion_sides(group, x, y, n)
+            if lhs != rhs:
+                witness = _words(group, x, y)
+                break
+        checks.append(IdentityCheck(f"power-expansion-n{n}", witness is None,
+                                    mode, len(pairs), witness))
+    return checks

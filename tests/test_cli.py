@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -214,3 +216,37 @@ def test_relator_longer_than_max_cosets_exits_with_limit_error(tmp_path):
     assert out.stdout == ""
     assert out.stderr.startswith("error:")
     assert "max_cosets=2000000" in out.stderr
+
+
+@pytest.mark.parametrize("relator", [
+    "(a*b)^3000000", "((a*b)^1000)^1001", "[" + ",".join("ab" * 20) + "]",
+    "(a*b)^1000000*(a*b)^1000000"])
+def test_long_word_is_refused_at_parse_time_with_limit_error(tmp_path, relator):
+    path = tmp_path / "long.txt"
+    path.write_text(f"gens: a, b; rels: {relator}\n")
+    start = time.perf_counter()
+    out = run_cli("analyze", str(path))
+    assert time.perf_counter() - start < 10
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: a word of ")
+    assert "exceeds the limit of 2000000" in out.stderr
+
+
+def test_long_word_in_a_corpus_or_defect_word_exits_with_limit_error(
+        tmp_path, d8_file):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("G | gens: a, b; rels: (a*b)^3000000\n")
+    out = run_cli("check-theorems", "--corpus", str(corpus))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith("error:")
+    out = run_cli("defect", d8_file, "(r*s)^3000000", "--max-cosets", "100")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "exceeds the limit of 100" in out.stderr
+
+
+def test_check_theorems_json_report_bytes_are_pinned():
+    out = run_cli("check-theorems", "--format", "json", "--seed", "1234")
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+        "2e8c9d145a0d27fb5cf60259fc8f7f626b2edbd011ae7b47e4a632ee62a69a58")

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from baerkit.core import (
@@ -172,6 +173,33 @@ def test_comm_with_perm_matches_pointwise(map_groups):
             assert table.tolist() == [group.comm(x, y) for x in range(n)]
             conj = group._along_tree(y, group._conj_perms)
             assert conj.tolist() == [group.conj(y, g) for g in range(n)]
+
+
+def test_batched_arithmetic_matches_scalar(map_groups):
+    rng = random.Random(19)
+    deep = build_group(dihedral_presentation(400))
+    # Here letter * size passes 2**16, so the gather offsets must be
+    # computed in a wide integer type whatever numpy's casting rules are.
+    wide = build_group("gens: a, b; rels: a^150; b^150; [a, b]")
+    for group in map_groups + [deep, wide]:
+        n = group.size
+        depth = max(len(w) for w in group.rep_word)
+        deepest = [e for e in range(n) if len(group.rep_word[e]) == depth]
+        a = [0, 0] + deepest + [rng.randrange(n) for _ in range(40)]
+        b = deepest + [0, rng.randrange(n)] + [rng.randrange(n) for _ in range(40)]
+        A, B = np.array(a), np.array(b)
+        assert group.mult_batch(A, B).tolist() == \
+            [group.mult(x, y) for x, y in zip(a, b)]
+        assert group.comm_batch(A, B).tolist() == \
+            [group.comm(x, y) for x, y in zip(a, b)]
+        for k in range(-5, 6):
+            assert group.power_batch(A, k).tolist() == \
+                [group.power(x, k) for x in a]
+        empty = np.array([], dtype=np.int64)
+        for op in (group.mult_batch, group.comm_batch):
+            assert op(empty, empty).size == 0
+        assert group.power_batch(empty, 3).size == 0
+        assert group.power_batch(empty, 0).size == 0
 
 
 def test_whole_group_maps_agree_with_naive_scans(map_groups):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from baerkit import engel
 from baerkit.core import GroupError, nilpotency_class
 from baerkit.engel import (
     _inputs,
@@ -18,6 +19,8 @@ from baerkit.engel import (
 )
 from baerkit.presentation import parse_word
 from baerkit.verify import build_group, cyclic_presentation
+
+from oracles import scalar_expansion_formula, scalar_metabelian_identities
 
 
 def naive_engel_bracket(group, x, y, n):
@@ -209,6 +212,49 @@ def test_expansion_check_rejects_non_metabelian_groups(s4):
 def test_expansion_single_pair_rejects_bad_depth(d8):
     with pytest.raises(GroupError):
         expansion_formula_holds(d8, 1, 2, 0)
+
+
+def test_batched_checks_report_the_scalar_witnesses(s4, monkeypatch):
+    # S4 is not metabelian, so with the guard lifted the identities fail;
+    # each batched check must stop at the tuple the scalar loop stops at.
+    monkeypatch.setattr(engel, "is_metabelian", lambda g: True)
+    got = check_metabelian_identities(s4, seed=3)
+    assert got == scalar_metabelian_identities(s4, seed=3)
+    assert [(c.name, c.holds, c.mode, c.witness) for c in got] == [
+        ("swap-entries-after-first", False, "exhaustive", "a^2, a, b"),
+        ("product-in-first-slot", False, "sampled",
+         "a*b*a^2, a^-1*b*a^-1, a^-1*b*a, n=3"),
+        ("power-in-any-slot", None, "skipped", None),
+    ]
+    got = check_expansion_formula(s4, seed=3)
+    assert got == scalar_expansion_formula(s4, seed=3)
+    assert [c.name for c in got if c.holds is False] == [
+        f"power-expansion-n{n}" for n in (3, 4, 5, 6)]
+    # A claimed class of 3 lets the power family run and fail too.
+    monkeypatch.setattr(engel, "nilpotency_class", lambda g: 3)
+    got = check_metabelian_identities(s4, seed=3)
+    assert got == scalar_metabelian_identities(s4, seed=3)
+    assert (got[2].holds, got[2].witness) == (False, "a^-1*b*a^-1, a*b, b*a^2, m=3")
+
+
+def test_batched_checks_match_the_scalar_reference_where_they_hold(
+        d16, class3_p2, class3_p3):
+    for group in (d16, class3_p2, class3_p3):
+        for seed in (0, 7):
+            got = check_metabelian_identities(group, seed=seed, trials=60)
+            assert got == scalar_metabelian_identities(group, seed=seed,
+                                                       trials=60)
+            assert all(c.holds for c in got)
+            for bound in (64, 8):
+                got = check_expansion_formula(
+                    group, trials=60, seed=seed, exhaustive_order_bound=bound)
+                assert got == scalar_expansion_formula(
+                    group, trials=60, seed=seed, exhaustive_order_bound=bound)
+                assert all(c.holds for c in got)
+    modes = {c.mode for g in (d16, class3_p2, class3_p3)
+             for c in check_metabelian_identities(g, trials=60)
+             + check_expansion_formula(g, trials=60)}
+    assert modes == {"exhaustive", "sampled"}
 
 
 def test_inputs_enumerate_up_to_the_limit_and_sample_past_it():

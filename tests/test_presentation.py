@@ -7,6 +7,7 @@ from baerkit.presentation import (
     GroupPresentation,
     PresentationError,
     Word,
+    WordLimitError,
     commutator_word,
     engel_word,
     free_reduce,
@@ -176,3 +177,36 @@ def test_nesting_depth_is_capped():
 def test_huge_exponent_literal_stays_one_syllable():
     pres = parse_presentation("gens: a, b; rels: a^1000000000; (b^-2)^3")
     assert pres.relators == (word("a", 1000000000), word("b", -6))
+
+
+def test_long_powers_and_commutators_are_refused_before_expanding():
+    gens = ("a", "b")
+    assert parse_word("(a*b)^3", gens, max_syllables=6).letter_count() == 6
+    assert parse_word("(a*b)^2*a*b", gens, max_syllables=6).letter_count() == 6
+    # Counted before free reduction: 6 syllables are written out first.
+    assert parse_word("(b*a*b^-1)^2", gens, max_syllables=6) == parse_word(
+        "b*a^2*b^-1", gens)
+    assert parse_word("(a*b)^-3", gens, max_syllables=6).letter_count() == 6
+    assert parse_word("[a*b, a]", gens, max_syllables=6) == parse_word(
+        "b^-1*a^-1*b*a", gens)
+    for text in ("(a*b)^4", "(a*b)^-4", "((a*b)^2)^2", "[a*b, a, b]",
+                 "(a*b)^3*a", "(a*b)^2*(a*b)^2", "(b*a*b^-1)^3"):
+        with pytest.raises(WordLimitError):
+            parse_word(text, gens, max_syllables=6)
+    with pytest.raises(WordLimitError, match="6000000 syllables"):
+        parse_presentation("gens: a, b; rels: (a*b)^3000000",
+                           max_syllables=2_000_000)
+    with pytest.raises(WordLimitError, match="2002000 syllables"):
+        parse_presentation("gens: a, b; rels: ((a*b)^1000)^1001",
+                           max_syllables=2_000_000)
+    nested = "[" + ",".join("ab" * 20) + "]"
+    with pytest.raises(WordLimitError):
+        parse_presentation(f"gens: a, b; rels: {nested}", max_syllables=2_000_000)
+
+
+def test_single_syllable_powers_are_not_counted_against_the_limit():
+    pres = parse_presentation("gens: a, b; rels: a^1000000000; (b^-2)^3",
+                              max_syllables=10)
+    assert pres.relators == (word("a", 1000000000), word("b", -6))
+    assert parse_word("b*a^1000000000*b", ("a", "b"), max_syllables=3) == \
+        Word((("b", 1), ("a", 1000000000), ("b", 1)))
