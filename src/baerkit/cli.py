@@ -70,6 +70,10 @@ def _make_parser() -> _Parser:
     common.add_argument("--max-cosets", type=_positive,
                         default=DEFAULT_MAX_COSETS, metavar="N",
                         help="coset enumeration ceiling")
+    common.add_argument("--max-steps", type=_positive, default=None,
+                        metavar="N",
+                        help="scan steps one enumeration may take "
+                             "(default: unbounded)")
     common.add_argument("--defect-cap", type=_positive, default=DEFAULT_CAP,
                         metavar="N", help="longest subnormal chain searched")
     common.add_argument("--exhaustive-threshold", type=_positive,
@@ -129,14 +133,15 @@ def _print_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _build_from_file(path: str, max_cosets: int):
+def _build_from_file(path: str, args):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    return build_group(text, name=os.path.basename(path), max_cosets=max_cosets)
+    return build_group(text, os.path.basename(path), args.max_cosets,
+                       args.max_steps)
 
 
 def cmd_analyze(args) -> int:
-    group = _build_from_file(args.path, args.max_cosets)
+    group = _build_from_file(args.path, args)
     report = classify(group, cap=args.defect_cap)
     d = report.to_json_dict()
     if args.format == "json":
@@ -150,7 +155,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_defect(args) -> int:
-    group = _build_from_file(args.path, args.max_cosets)
+    group = _build_from_file(args.path, args)
     w = parse_word(args.word, group.gen_names, args.max_cosets)
     e = group.word_to_element(w)
     cap = max(args.defect_cap, args.n)
@@ -225,7 +230,7 @@ def cmd_verify_examples(args) -> int:
         args.primes, seed=args.seed, max_cosets=args.max_cosets,
         defect_cap=args.defect_cap,
         exhaustive_threshold=args.exhaustive_threshold,
-        allow_p7=args.allow_p7)
+        max_steps=args.max_steps, allow_p7=args.allow_p7)
     if args.format == "json":
         _print_json(report)
     else:
@@ -242,7 +247,8 @@ def cmd_check_theorems(args) -> int:
     report = run_full_suite(
         corpus, seed=args.seed, max_cosets=args.max_cosets,
         defect_cap=args.defect_cap,
-        exhaustive_threshold=args.exhaustive_threshold)
+        exhaustive_threshold=args.exhaustive_threshold,
+        max_steps=args.max_steps)
     if args.format == "json":
         _print_json(report)
     else:

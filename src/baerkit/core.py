@@ -108,6 +108,7 @@ class ConcreteGroup:
         self._cyclic_defects: dict = {}  # subnormal.cyclic_defect, by <x>
         self._defect_scans: dict = {}  # subnormal._defect_scan, by cap
         self._reports: dict = {}  # subnormal.classify, by cap
+        self._left_engel: dict = {}  # engel._is_left_engel, by class rep
 
     # -- construction internals -------------------------------------------
 
@@ -344,6 +345,15 @@ class ConcreteGroup:
     def conjugacy_classes(self) -> list[list[int]]:
         """Classes as sorted element lists, ordered by least member."""
         return self._classes
+
+    @cached_property
+    def _class_rep(self) -> list[int]:
+        """Per element, the representative (least member) of its class."""
+        rep = [0] * self.size
+        for cl in self._classes:
+            for e in cl:
+                rep[e] = cl[0]
+        return rep
 
     def class_reps(self) -> list[int]:
         return [cl[0] for cl in self.conjugacy_classes()]

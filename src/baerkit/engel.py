@@ -5,7 +5,10 @@ All brackets are left normed: [x, y, z] means [[x, y], z] and
 is ConcreteGroup.comm_with_perm, which tabulates x -> [x, y] for a
 fixed y with the one BFS-tree fill of core (ConcreteGroup._along_tree);
 applying that table n times computes [x, n*y] for every x at once, so
-Engel conditions reduce to a few vectorized passes per y.
+Engel conditions reduce to a few vectorized passes per y.  The least n
+with [x, n*y] = 1 for every x (y's left-Engel length) is a class
+invariant, kept per class representative on the group, so left-Engel
+questions about one group share their tables whatever n they ask.
 
 The identity checks and engel_bracket run on core's batched arithmetic
 (ConcreteGroup.mult_batch and friends) over all input tuples at once; a
@@ -111,20 +114,41 @@ def _iterated(perm: np.ndarray, n: int) -> np.ndarray:
     return cur
 
 
+def _is_left_engel(group: ConcreteGroup, x: int, n: int) -> bool:
+    """Whether [g, n*x] = 1 for every g, through the group's memo of
+    left-Engel lengths.
+
+    The memo is kept per class representative, since the length is
+    conjugation invariant: [g, n*(x^h)] = [g^(h^-1), n*x]^h.  An entry
+    (k, True) says k is the least such n, which answers every n; an
+    entry (k, False) says some [g, k*x] is not 1, which answers only
+    n <= k.  Anything else iterates a fresh bracket table up to n."""
+    r = group._class_rep[x]
+    k, exact = group._left_engel.get(r, (0, False))
+    if not exact and k < n:
+        perm = group.comm_with_perm(r)
+        cur, k = perm, 1
+        while k < n and cur.any():
+            cur, k = perm[cur], k + 1
+        exact = not cur.any()
+        group._left_engel[r] = (k, exact)
+    return exact and k <= n
+
+
 def is_left_n_engel(group: ConcreteGroup, x: int, n: int) -> EngelReport:
     """Whether [g, x, ..., x] = 1 (n copies of x) for every g.
 
     One bracket table for x answers the question for all g at once, so
-    this is exhaustive at any group size."""
+    this is exhaustive at any group size; the witness of a failure is
+    the least failing g."""
     if n < 1:
         raise GroupError("n must be at least 1")
     subject = str(group.element_word(x))
-    bad = np.flatnonzero(_iterated(group.comm_with_perm(x), n))
-    if bad.size:
-        g = int(bad[0])
-        witness = (str(group.element_word(g)), subject)
-        return EngelReport("left", n, False, subject, witness)
-    return EngelReport("left", n, True, subject)
+    if _is_left_engel(group, x, n):
+        return EngelReport("left", n, True, subject)
+    g = int(np.flatnonzero(_iterated(group.comm_with_perm(x), n))[0])
+    witness = (str(group.element_word(g)), subject)
+    return EngelReport("left", n, False, subject, witness)
 
 
 def is_right_n_engel(group: ConcreteGroup, x: int, n: int) -> EngelReport:
@@ -181,9 +205,8 @@ def is_n_engel_group(group: ConcreteGroup, n: int) -> EngelReport:
     if n < 1:
         raise GroupError("n must be at least 1")
     for y in group.class_reps():
-        bad = np.flatnonzero(_iterated(group.comm_with_perm(y), n))
-        if bad.size:
-            x = int(bad[0])
+        if not _is_left_engel(group, y, n):
+            x = int(np.flatnonzero(_iterated(group.comm_with_perm(y), n))[0])
             witness = (str(group.element_word(x)), str(group.element_word(y)))
             return EngelReport("group", n, False, witness=witness)
     return EngelReport("group", n, True)

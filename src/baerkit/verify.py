@@ -176,46 +176,52 @@ def class3_p_group_presentation(p: int) -> str:
 # ---------------------------------------------------------------------------
 
 def build_group(text: str, name: str = "",
-                max_cosets: int = DEFAULT_MAX_COSETS) -> ConcreteGroup:
+                max_cosets: int = DEFAULT_MAX_COSETS,
+                max_steps: int | None = None) -> ConcreteGroup:
     """Parse a presentation and realize it as a concrete group."""
     pres = parse_presentation(text, max_syllables=max_cosets)
-    table = enumerate_cosets(pres, max_cosets=max_cosets)
+    table = enumerate_cosets(pres, max_cosets=max_cosets, max_steps=max_steps)
     group = to_group(table)
     if name:
         group.meta["name"] = name
     return group
 
 
+# Keyed without max_steps: a step limit decides only whether a build
+# completes, never what it builds.
 _BUILD_MEMO: dict[tuple, ConcreteGroup] = {}
 
 
-def _build_expected(name: str, text: str, max_cosets: int, *,
-                    expected: dict, family: str, prime: int) -> ConcreteGroup:
+def _build_expected(name: str, text: str, max_cosets: int,
+                    max_steps: int | None, *, expected: dict, family: str,
+                    prime: int) -> ConcreteGroup:
     """Build a benchmark group and record its family, its prime and the
     invariants its construction promises."""
     key = ("expected", name, max_cosets)
     memo = _BUILD_MEMO.get(key)
     if memo is None:
-        memo = build_group(text, name=name, max_cosets=max_cosets)
+        memo = build_group(text, name, max_cosets, max_steps)
         memo.meta.update({"family": family, "prime": prime,
                           "expected": dict(expected)})
         _BUILD_MEMO[key] = memo
     return memo
 
 
-def build_class4_2group(max_cosets: int = DEFAULT_MAX_COSETS) -> ConcreteGroup:
+def build_class4_2group(max_cosets: int = DEFAULT_MAX_COSETS,
+                        max_steps: int | None = None) -> ConcreteGroup:
     return _build_expected(
-        "class4-2group", class4_2group_presentation(), max_cosets,
+        "class4-2group", class4_2group_presentation(), max_cosets, max_steps,
         expected={"order": 128, "class": 4, "derived_length": 2,
                   "t2_order": 64, "classification": GENERALIZED_T2},
         family="class4", prime=2)
 
 
 def build_class3_p_group(p: int,
-                         max_cosets: int = DEFAULT_MAX_COSETS) -> ConcreteGroup:
+                         max_cosets: int = DEFAULT_MAX_COSETS,
+                         max_steps: int | None = None) -> ConcreteGroup:
     n = p ** 6
     return _build_expected(
-        f"class3-p{p}", class3_p_group_presentation(p), max_cosets,
+        f"class3-p{p}", class3_p_group_presentation(p), max_cosets, max_steps,
         expected={"order": n, "class": 3, "derived_length": 2,
                   "t2_order": p ** 5, "classification": GENERALIZED_T2},
         family="class3", prime=p)
@@ -679,34 +685,40 @@ def check_product_decomposition(h: ConcreteGroup, k: ConcreteGroup, *,
 # Corpus and suite drivers.
 # ---------------------------------------------------------------------------
 
+# A builder takes max_cosets and max_steps, the enumeration limits.
+Builder = Callable[[int, int | None], ConcreteGroup]
+
+
 @dataclass(frozen=True)
 class CorpusEntry:
     """A named group the suite knows how to build on demand."""
 
     name: str
-    build: Callable[[int], ConcreteGroup]
-    factors: tuple[Callable[[int], ConcreteGroup], ...] | None = None
+    build: Builder
+    factors: tuple[Builder, ...] | None = None
 
 
-def _presentation_builder(name: str, text: str) -> Callable[[int], ConcreteGroup]:
-    def build(max_cosets: int = DEFAULT_MAX_COSETS) -> ConcreteGroup:
+def _presentation_builder(name: str, text: str) -> Builder:
+    def build(max_cosets: int = DEFAULT_MAX_COSETS,
+              max_steps: int | None = None) -> ConcreteGroup:
         key = ("pres", text, max_cosets)
         memo = _BUILD_MEMO.get(key)
         if memo is None:
-            memo = build_group(text, name=name, max_cosets=max_cosets)
+            memo = build_group(text, name, max_cosets, max_steps)
             _BUILD_MEMO[key] = memo
         return memo
 
     return build
 
 
-def _product_builder(name: str, left: Callable[[int], ConcreteGroup],
-                     right: Callable[[int], ConcreteGroup]) -> Callable[[int], ConcreteGroup]:
-    def build(max_cosets: int = DEFAULT_MAX_COSETS) -> ConcreteGroup:
+def _product_builder(name: str, left: Builder, right: Builder) -> Builder:
+    def build(max_cosets: int = DEFAULT_MAX_COSETS,
+              max_steps: int | None = None) -> ConcreteGroup:
         key = ("product", name, max_cosets)
         memo = _BUILD_MEMO.get(key)
         if memo is None:
-            memo = direct_product(left(max_cosets), right(max_cosets))
+            memo = direct_product(left(max_cosets, max_steps),
+                                  right(max_cosets, max_steps))
             memo.meta["name"] = name
             _BUILD_MEMO[key] = memo
         return memo
@@ -783,6 +795,7 @@ class _Run:
     cap: int
     threshold: int
     max_cosets: int
+    max_steps: int | None
 
 
 def _product_check(run: _Run, seed: int) -> TheoremCheck | None:
@@ -790,7 +803,8 @@ def _product_check(run: _Run, seed: int) -> TheoremCheck | None:
         return None
     left, right = run.entry.factors
     return check_product_decomposition(
-        left(run.max_cosets), right(run.max_cosets), cap=run.cap,
+        left(run.max_cosets, run.max_steps),
+        right(run.max_cosets, run.max_steps), cap=run.cap,
         product=run.group)
 
 
@@ -848,10 +862,11 @@ def run_full_suite(corpus: list[CorpusEntry] | None = None, *, seed: int = 0,
                    max_cosets: int = DEFAULT_MAX_COSETS,
                    defect_cap: int = DEFAULT_CAP,
                    exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
-                   checks=None) -> dict:
+                   max_steps: int | None = None, checks=None) -> dict:
     """Build every corpus group and run every applicable check, returning a
     JSON-ready report.  With `checks`, a collection of check ids, only those
-    checks run."""
+    checks run.  max_steps bounds each enumeration; it is not recorded in
+    the report, since a completed enumeration does not depend on it."""
     if corpus is None:
         corpus = default_corpus()
     table = _SUITE_CHECKS
@@ -862,8 +877,9 @@ def run_full_suite(corpus: list[CorpusEntry] | None = None, *, seed: int = 0,
         table = [(cid, call) for cid, call in _SUITE_CHECKS if cid in checks]
     reports = []
     for entry in corpus:
-        group = entry.build(max_cosets)
-        run = _Run(entry, group, defect_cap, exhaustive_threshold, max_cosets)
+        group = entry.build(max_cosets, max_steps)
+        run = _Run(entry, group, defect_cap, exhaustive_threshold, max_cosets,
+                   max_steps)
         results = [call(run, _derived_seed(seed, entry.name, cid))
                    for cid, call in table]
         results = sorted((c for c in results if c is not None),
@@ -891,6 +907,7 @@ def run_example_checks(primes: tuple[int, ...] = (2, 3, 5), *, seed: int = 0,
                        max_cosets: int = DEFAULT_MAX_COSETS,
                        defect_cap: int = DEFAULT_CAP,
                        exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
+                       max_steps: int | None = None,
                        allow_p7: bool = False) -> dict:
     """Verify the two worked example families: the order-128 class-4 group
     and the class-3 p-group family at the requested primes."""
@@ -906,4 +923,5 @@ def run_example_checks(primes: tuple[int, ...] = (2, 3, 5), *, seed: int = 0,
                 for p in primes]
     return run_full_suite(entries, checks=_EXAMPLE_CHECK_IDS, seed=seed,
                           max_cosets=max_cosets, defect_cap=defect_cap,
-                          exhaustive_threshold=exhaustive_threshold)
+                          exhaustive_threshold=exhaustive_threshold,
+                          max_steps=max_steps)

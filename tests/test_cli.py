@@ -76,6 +76,30 @@ def test_analyze_enumeration_limit(tmp_path):
     assert out.stderr.startswith("error:")
 
 
+def test_max_steps_bounds_every_enumeration_and_exits_with_limit_error(
+        tmp_path, d8_file):
+    # The relator fills the table at once; the step limit then stops
+    # the lookahead pass, which would otherwise walk 5e7 steps.
+    path = tmp_path / "long.txt"
+    path.write_text("gens: a, b; rels: ((a*b)^50)^100\n")
+    start = time.perf_counter()
+    out = run_cli("analyze", str(path), "--max-cosets", "10000",
+                  "--max-steps", "100000")
+    assert time.perf_counter() - start < 10
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: enumeration exceeded max_steps=100000\n"
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(CORPUS_TEXT)
+    for args in (("check-theorems", "--corpus", str(corpus)),
+                 ("verify-examples", "--primes", "2")):
+        out = run_cli(*args, "--max-steps", "5")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert "max_steps=5" in out.stderr
+    # A bound the enumeration fits in leaves the report as it was.
+    assert (run_cli("analyze", d8_file, "--max-steps", "1000").stdout
+            == run_cli("analyze", d8_file).stdout)
+
+
 def test_defect_text_output(d16_file):
     out = run_cli("defect", d16_file, "s")
     assert out.returncode == 0

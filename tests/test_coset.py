@@ -1,9 +1,21 @@
+import hashlib
+import json
+
 import pytest
 
-from baerkit.coset import EnumerationLimitError, enumerate_cosets, to_group
+from baerkit.coset import (
+    DEFAULT_MAX_COSETS,
+    EnumerationLimitError,
+    _letters,
+    _validate,
+    enumerate_cosets,
+    to_group,
+)
 from baerkit.presentation import parse_presentation, parse_word
 from baerkit.verify import (
     alternating4_presentation,
+    class3_p_group_presentation,
+    class4_2group_presentation,
     cyclic_presentation,
     dihedral_presentation,
     quaternion_presentation,
@@ -91,3 +103,96 @@ def test_relator_longer_than_max_cosets_is_rejected_before_enumeration():
         enumerate_cosets(pres, max_cosets=10)
     assert info.value.cosets_defined == 0
     assert enumerate_cosets(pres, max_cosets=11).coset_count == 11
+
+
+def test_lookahead_pass_is_bounded_by_max_steps():
+    # The one relator has 10,000 letters: the first sweep saturates the
+    # table, and only the step limit stops the lookahead pass.
+    pres = parse_presentation("gens: a, b; rels: ((a*b)^50)^100")
+    with pytest.raises(EnumerationLimitError, match="max_steps") as info:
+        enumerate_cosets(pres, max_cosets=10000, max_steps=100000)
+    assert 100000 < info.value.steps <= 110000
+
+
+def _cols_digest(cols) -> str:
+    return hashlib.sha256(json.dumps(cols).encode()).hexdigest()
+
+
+P3_DIGEST = "31ec3d9695d71ac11850dc48af4a636e9254b712ed4d2b6cc501d7a6d1541cba"
+
+
+@pytest.mark.parametrize("text, max_cosets, digest", [
+    (class3_p_group_presentation(3), DEFAULT_MAX_COSETS, P3_DIGEST),
+    # 3,349 cosets are defined at p = 3, so this one runs a lookahead
+    # pass and a compaction on the way to the same table
+    (class3_p_group_presentation(3), 2000, P3_DIGEST),
+    (class4_2group_presentation(), DEFAULT_MAX_COSETS,
+     "6ad72f546263205fa186ce6adebfc175a9ad2478742ee24003ccaae4812cae35"),
+    (symmetric_presentation(4), DEFAULT_MAX_COSETS,
+     "559e7a0c32e513fffe88733e906c5afcc1bc2960b4ac31264d0df59097d4ace9"),
+    ("gens: a, b; rels: a^151; b^10; b^-1*a*b = a^87", DEFAULT_MAX_COSETS,
+     "d6658fdba9f69fe66a9e55e50e3c3fe70c3df1a137c957027bdbe1dc613bb897"),
+    ("gens: a, b; rels: a^90; b^9; [a,b]", DEFAULT_MAX_COSETS,
+     "cc94e14dde7794f0f39142a1670637b73f9a8fb6eede763e785be1cbb3b9dbbd"),
+])
+def test_tables_are_pinned(text, max_cosets, digest):
+    # Element numbering reaches every report, so the definition order
+    # is part of the output.
+    table = enumerate_cosets(parse_presentation(text), max_cosets=max_cosets)
+    assert _cols_digest(table.cols) == digest
+
+
+def test_class3_p5_table_is_pinned(class3_p5):
+    assert _cols_digest(class3_p5.cols) == (
+        "4a8d0a2e649fb09c9ae1eaed00a0f7c9ae83cfcba73503ede6b62c035a6cdbd9")
+
+
+def _table_and_words(text, subgroup=()):
+    pres = parse_presentation(text)
+    subs = tuple(parse_word(w, pres.generators) for w in subgroup)
+    gen_col = {g: 2 * i for i, g in enumerate(pres.generators)}
+    return (enumerate_cosets(pres, subgroup_gens=subs),
+            [_letters(r, gen_col) for r in pres.relators],
+            [_letters(w, gen_col) for w in subs])
+
+
+def test_validate_accepts_an_enumerated_table():
+    _validate(*_table_and_words(symmetric_presentation(3), ["a"]))
+
+
+def _corrupt_table(kind):
+    # S3 over <a>: two cosets, a fixes both and b swaps them.
+    table, rel_words, sub_words = _table_and_words(
+        symmetric_presentation(3), ["a"])
+    cols = table.cols
+    if kind == "short":
+        cols[0].pop()
+    elif kind == "unset":
+        cols[0][1] = -1
+    elif kind == "out of range":
+        cols[2][1] = table.coset_count
+    elif kind == "not inverse":
+        # a swaps the cosets while a^-1 still fixes them
+        cols[0][0], cols[0][1] = cols[0][1], cols[0][0]
+    elif kind == "open relator":
+        # C3 with a acting as the transposition (1 2): the columns stay
+        # mutually inverse and a^3 closes on coset 0, but not on 1 or 2
+        table, rel_words, sub_words = _table_and_words("gens: a; rels: a^3")
+        table.cols[0], table.cols[1] = [0, 2, 1], [0, 2, 1]
+    elif kind == "moved coset 0":
+        sub_words = [[2]]
+    return table, rel_words, sub_words
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("short", "coset table is not complete"),
+    ("unset", "coset table is not complete"),
+    ("out of range", "coset table is not complete"),
+    ("not inverse", "coset table columns are not mutually inverse"),
+    ("open relator", "relator does not close on the final table"),
+    ("moved coset 0", "subgroup generator does not fix coset 0"),
+])
+def test_validate_rejects_corrupted_tables(kind, message):
+    with pytest.raises(RuntimeError) as info:
+        _validate(*_corrupt_table(kind))
+    assert str(info.value) == message

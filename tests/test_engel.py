@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from baerkit import engel
-from baerkit.core import GroupError, nilpotency_class
+from baerkit.core import ConcreteGroup, GroupError, nilpotency_class
 from baerkit.engel import (
     _inputs,
     check_expansion_formula,
@@ -18,7 +18,14 @@ from baerkit.engel import (
     right_engel_set,
 )
 from baerkit.presentation import parse_word
-from baerkit.verify import build_group, cyclic_presentation
+from baerkit.verify import (
+    alternating4_presentation,
+    build_group,
+    class3_p_group_presentation,
+    cyclic_presentation,
+    dihedral_presentation,
+    symmetric_presentation,
+)
 
 from oracles import scalar_expansion_formula, scalar_metabelian_identities
 
@@ -74,6 +81,41 @@ def test_left_engel_holds_at_class_depth(d16, q8):
     for group, n in ((d16, 3), (q8, 2)):
         for x in range(group.size):
             assert is_left_n_engel(group, x, n).holds
+
+
+@pytest.mark.parametrize("order", [(1, 2, 3, 4), (4, 3, 2, 1), (3, 1, 4, 2)])
+def test_left_engel_memo_answers_like_a_direct_scan_in_any_order(order):
+    # Fresh groups, so the memo starts empty and fills in the order given.
+    # In A4 some x have another least failing g than their class
+    # representative has.
+    texts = (symmetric_presentation(3), dihedral_presentation(16),
+             class3_p_group_presentation(2), alternating4_presentation())
+    for text in texts:
+        group = build_group(text)
+        for n in order:
+            for x in range(group.size):
+                failing = [g for g in range(group.size)
+                           if naive_engel_bracket(group, g, x, n) != 0]
+                report = is_left_n_engel(group, x, n)
+                assert report.holds == (not failing), (text, n, x)
+                if failing:
+                    assert report.witness == (
+                        str(group.element_word(failing[0])),
+                        str(group.element_word(x)))
+
+
+def test_engel_group_answers_from_the_memo(monkeypatch):
+    group = build_group(class3_p_group_presentation(3))
+    calls = []
+    real = ConcreteGroup.comm_with_perm
+    monkeypatch.setattr(ConcreteGroup, "comm_with_perm",
+                        lambda self, y: calls.append(y) or real(self, y))
+    assert is_n_engel_group(group, 3).holds
+    assert len(calls) == len(group.class_reps())
+    calls.clear()
+    assert is_n_engel_group(group, 6).holds
+    assert is_left_n_engel(group, group.size - 1, 4).holds
+    assert calls == []
 
 
 def test_right_engel_report_agrees_with_direct_scan(d16, s3):
