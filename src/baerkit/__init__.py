@@ -25,7 +25,6 @@ from .core import (
     lower_central_series,
     nilpotency_class,
     normal_closure,
-    normalizer,
     quotient,
     sylow_decomposition,
     upper_central_series,
@@ -36,7 +35,6 @@ from .engel import (
     check_expansion_formula,
     check_metabelian_identities,
     engel_bracket,
-    expansion_formula_holds,
     is_left_n_engel,
     is_n_engel_group,
     is_right_n_engel,

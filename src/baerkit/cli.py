@@ -72,8 +72,8 @@ def _make_parser() -> _Parser:
                         help="coset enumeration ceiling")
     common.add_argument("--max-steps", type=_positive, default=None,
                         metavar="N",
-                        help="scan steps one enumeration may take "
-                             "(default: unbounded)")
+                        help="steps (letters scanned and cosets defined) "
+                             "one enumeration may take (default: unbounded)")
     common.add_argument("--defect-cap", type=_positive, default=DEFAULT_CAP,
                         metavar="N", help="longest subnormal chain searched")
     common.add_argument("--exhaustive-threshold", type=_positive,
@@ -110,8 +110,6 @@ def _make_parser() -> _Parser:
     p.add_argument("--primes", type=_primes_arg, default=(2, 3, 5),
                    metavar="P,P,...",
                    help="primes for the class-3 family (default: 2,3,5)")
-    p.add_argument("--allow-p7", action="store_true",
-                   help="permit the order-117649 build at p = 7")
     p.set_defaults(func=cmd_verify_examples)
 
     p = sub.add_parser("check-theorems", parents=[common],
@@ -230,7 +228,7 @@ def cmd_verify_examples(args) -> int:
         args.primes, seed=args.seed, max_cosets=args.max_cosets,
         defect_cap=args.defect_cap,
         exhaustive_threshold=args.exhaustive_threshold,
-        max_steps=args.max_steps, allow_p7=args.allow_p7)
+        max_steps=args.max_steps)
     if args.format == "json":
         _print_json(report)
     else:

@@ -8,8 +8,8 @@ search from the identity), so a*b is computed by following b's word
 through the columns starting at a.  Memory stays O(size * generators);
 no full multiplication table is ever built.
 
-Whole-group maps (inverses, x -> [x, y], and g -> x^g behind centres,
-centralizers and normalizers) come from one fill along that BFS tree,
+Whole-group maps (inverses, x -> [x, y], and g -> x^g behind centres
+and centralizers) come from one fill along that BFS tree,
 ConcreteGroup._along_tree: value[child] = perm[letter][value[parent]],
 one numpy assignment per (depth, letter) bucket.  Arithmetic on whole
 index arrays (mult_batch, comm_batch, power_batch) walks the words
@@ -17,8 +17,9 @@ kept as a uint8 letter matrix, one flat gather per letter.
 
 Subgroups are plain element sets with a remembered generating list;
 closures are grown one right coset at a time (Dimino's algorithm).
-The functions below (normal closures, central series, quotients, direct
-products, Sylow parts, ...) all work on these two types.
+normal_closure(gens, ambient) closes a generating list under the
+ambient's conjugation in one such build, and the series, quotients,
+direct products and Sylow parts below all work on these two types.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ __all__ = [
     "center",
     "upper_central_series",
     "centralizer",
-    "normalizer",
     "exponent",
-    "conjugacy_classes",
     "frattini_p_group",
     "sylow_decomposition",
     "direct_product",
@@ -512,19 +511,18 @@ def _as_subgroup(g) -> Subgroup:
     raise GroupError(f"expected a group or subgroup, got {type(g).__name__}")
 
 
-def normal_closure(h: Subgroup, ambient) -> Subgroup:
-    """Smallest subgroup of the ambient containing h and closed under its
-    conjugation.  Conjugating generators by generators suffices: both
+def normal_closure(gens, ambient) -> Subgroup:
+    """Smallest subgroup of the ambient containing gens and closed under
+    its conjugation.  Conjugating generators by generators suffices: both
     sets generate, and conjugation by a fixed element permutes a finite
     subgroup."""
     amb = _as_subgroup(ambient)
-    group = h.group
-    if amb.group is not group:
-        raise GroupError("subgroups belong to different groups")
-    if not h.elemset <= amb.elemset:
-        raise GroupError("subgroup is not contained in the ambient subgroup")
+    group = amb.group
+    gens = list(gens)
+    if not amb.elemset.issuperset(gens):
+        raise GroupError("generators are not contained in the ambient subgroup")
     builder = _ClosureBuilder(group)
-    for g in h.gens:
+    for g in gens:
         builder.add(g)
     kgens = list(dict.fromkeys(amb.gens))
     work = list(builder.gens)
@@ -559,7 +557,7 @@ def lower_central_series(g) -> list[Subgroup]:
     while True:
         cur = series[-1]
         comms = [group.comm(a, b) for a in cur.gens for b in sub.gens]
-        nxt = normal_closure(Subgroup.generated(group, comms), sub)
+        nxt = normal_closure(comms, sub)
         if nxt.elemset == cur.elemset:
             break
         series.append(nxt)
@@ -597,7 +595,7 @@ def derived_subgroup(g) -> Subgroup:
     got = group._derived.get(sub.elemset)
     if got is None:
         comms = [group.comm(a, b) for a in sub.gens for b in sub.gens]
-        got = normal_closure(Subgroup.generated(group, comms), sub)
+        got = normal_closure(comms, sub)
         group._derived[sub.elemset] = got
     return got
 
@@ -646,19 +644,6 @@ def centralizer(group: ConcreteGroup, elements) -> Subgroup:
     return _from_mask(group, keep)
 
 
-def normalizer(group: ConcreteGroup, h: Subgroup) -> Subgroup:
-    """Elements g with h^g = h; checking generators of h suffices since
-    conjugation by a fixed g is injective on the finite set h."""
-    if h.group is not group:
-        raise GroupError("subgroup belongs to a different group")
-    member = _mask(group, h.elements)
-    conj = group._conj_perms
-    keep = np.ones(group.size, dtype=bool)
-    for x in h.gens:
-        keep &= member[group._along_tree(x, conj)]
-    return _from_mask(group, keep)
-
-
 def _mask(group: ConcreteGroup, elements):
     mask = np.zeros(group.size, dtype=bool)
     mask[list(elements)] = True
@@ -672,10 +657,6 @@ def _from_mask(group: ConcreteGroup, keep) -> Subgroup:
 def exponent(g) -> int:
     sub = _as_subgroup(g)
     return lcm(*(sub.group.element_order(e) for e in sub.elements))
-
-
-def conjugacy_classes(group: ConcreteGroup) -> list[list[int]]:
-    return group.conjugacy_classes()
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -703,7 +684,7 @@ def frattini_p_group(group: ConcreteGroup, p: int) -> Subgroup:
     gens = group.generator_elements()
     cand = [group.comm(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
     cand += [group.power(a, p) for a in gens]
-    sub = normal_closure(Subgroup.generated(group, cand), group)
+    sub = normal_closure(cand, group)
     group._frattini[p] = sub
     return sub
 
@@ -760,25 +741,12 @@ def direct_product(g: ConcreteGroup, h: ConcreteGroup, max_size: int = 200_000) 
         right_names.append(new)
     names = tuple(left_names + right_names)
 
-    pres = None
-    if g.presentation is not None and h.presentation is not None:
-        rename = dict(zip(h.gen_names, right_names))
-        def rn(w: Word) -> Word:
-            return Word(tuple((rename[gname], e) for gname, e in w.syllables))
-        relators = list(g.presentation.relators)
-        relators += [rn(r) for r in h.presentation.relators]
-        from .presentation import commutator_word, word
-        for a in left_names:
-            for b in right_names:
-                relators.append(commutator_word(word(a), word(b)))
-        pres = GroupPresentation(names, tuple(relators))
-
     meta = {
         "embed_left": tuple(a * m for a in range(n)),
         "embed_right": tuple(range(m)),
         "factor_sizes": (n, m),
     }
-    return ConcreteGroup(cols, presentation=pres, gen_names=names, meta=meta)
+    return ConcreteGroup(cols, gen_names=names, meta=meta)
 
 
 def quotient(group: ConcreteGroup, n: Subgroup) -> ConcreteGroup:
@@ -810,11 +778,4 @@ def quotient(group: ConcreteGroup, n: Subgroup) -> ConcreteGroup:
         cols.append(fwd)
         cols.append(back)
 
-    pres = None
-    if group.presentation is not None:
-        extra = tuple(group.element_word(x) for x in n.gens)
-        pres = GroupPresentation(
-            group.presentation.generators, group.presentation.relators + extra
-        )
-    meta = {"coset_of": tuple(coset_of), "coset_reps": tuple(reps)}
-    return ConcreteGroup(cols, presentation=pres, gen_names=group.gen_names, meta=meta)
+    return ConcreteGroup(cols, gen_names=group.gen_names)

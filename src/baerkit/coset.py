@@ -18,7 +18,8 @@ When the allocation limit is reached, one lookahead pass (scanning
 without defining) runs, the table is compacted, and enumeration resumes;
 if that frees almost nothing the enumeration gives up with
 EnumerationLimitError rather than silently truncating.  The step limit,
-when set, holds in both kinds of pass.
+when set, counts every coset defined and holds in both kinds of pass,
+inside a scan too.
 
 The finished table is checked once more with numpy, one gather over all
 cosets per relator letter.  Over the trivial subgroup it is the right
@@ -92,12 +93,14 @@ def enumerate_cosets(
 
     Deterministic: new cosets are numbered in first-gap scan order, so
     the same input always yields the same table.  A step is one letter
-    of a scan that follows an entry already in the table; max_steps
-    bounds them across the definition sweeps and the lookahead passes
-    alike.  Raises EnumerationLimitError when the limits are exhausted
-    (the enumeration never returns a truncated table), also before any
-    work when a relator has more letters than max_cosets, and
-    PresentationError never; bad input should be caught at parse time.
+    a scan passes, by following an entry already in the table or by
+    defining a new coset, or one coset defined to fill a row; max_steps
+    bounds them inside a scan, across the definition sweeps and the
+    lookahead passes alike.  Raises EnumerationLimitError when the
+    limits are exhausted (the enumeration never returns a truncated
+    table), also before any work when a relator has more letters than
+    max_cosets, and PresentationError never; bad input should be caught
+    at parse time.
     """
     ngens = len(pres.generators)
     ncols = 2 * ngens
@@ -189,7 +192,6 @@ def enumerate_cosets(
         f = b = c
         i, j = 0, len(fw) - 1
         last = j
-        defined = 0
         try:
             while True:
                 while i <= j:
@@ -215,15 +217,14 @@ def enumerate_cosets(
                     fw[i][f] = b
                     bw[i][b] = f
                     return
-                if not fill:
+                if not fill or steps + i + last - j > step_limit:
                     return
                 f = define(f, fw[i], bw[i])
                 i += 1
-                defined += 1
         finally:
-            # the letters walked: i and j passed each of them once, and
-            # i also passed the letter of each coset defined
-            steps += i + last - j - defined
+            # the letters passed: i and j passed each of them once, and
+            # i passed the letter of each coset defined
+            steps += i + last - j
 
     def over_steps():
         return EnumerationLimitError(
@@ -235,6 +236,7 @@ def enumerate_cosets(
         Returning, rather than letting _Saturated out, drops this
         frame and the scan frames, whose bound columns would otherwise
         keep the old table alive through the compaction."""
+        nonlocal steps
         try:
             for fw, bw in subs:
                 scan(0, fw, bw, True)
@@ -251,6 +253,9 @@ def enumerate_cosets(
                         for col, inv in pairs:
                             if col[idx] == -1:
                                 define(idx, col, inv)
+                                steps += 1
+                        if steps > step_limit:
+                            raise over_steps()
                 idx += 1
         except _Saturated:
             return False

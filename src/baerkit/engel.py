@@ -43,7 +43,6 @@ __all__ = [
     "right_engel_set",
     "is_n_engel_group",
     "check_metabelian_identities",
-    "expansion_formula_holds",
     "check_expansion_formula",
 ]
 
@@ -328,13 +327,6 @@ def _expansion_holds(group: ConcreteGroup, x, y, n_values) -> list:
                 rhs = mult(rhs, power(b, comb(n, i + j + 1)))
         out.append(power(xy, n) == mult(rhs, power(y, -n)))
     return out
-
-
-def expansion_formula_holds(group: ConcreteGroup, x: int, y: int, n: int) -> bool:
-    """Whether (x*y^-1)^n matches its commutator expansion for one pair."""
-    if n < 1:
-        raise GroupError("n must be at least 1")
-    return bool(_expansion_holds(group, np.array([x]), np.array([y]), (n,))[0][0])
 
 
 def check_expansion_formula(

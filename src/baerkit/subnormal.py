@@ -97,7 +97,7 @@ def defect(h: Subgroup, ambient, cap: int = DEFAULT_CAP) -> DefectResult:
         return DefectResult(0)
     current = amb
     for d in range(1, cap + 1):
-        nxt = normal_closure(h, current)
+        nxt = normal_closure(h.gens, current)
         if nxt.elemset == h.elemset:
             return DefectResult(d)
         if nxt.size == current.size:
@@ -151,7 +151,7 @@ def t_n_subgroup(group: ConcreteGroup, n: int, cap: int = DEFAULT_CAP) -> Subgro
     cap is visible rather than silent."""
     scan = _defect_scan(group, max(cap, n))
     bad = [rep for rep, _, res in scan if not res.within(n)]
-    return normal_closure(Subgroup.generated(group, bad), group)
+    return normal_closure(bad, group)
 
 
 def t_n_within(ambient: Subgroup, n: int, cap: int = DEFAULT_CAP) -> Subgroup:
@@ -174,7 +174,7 @@ def t_n_within(ambient: Subgroup, n: int, cap: int = DEFAULT_CAP) -> Subgroup:
         seen |= cyc.elemset
         if not defect(cyc, ambient, cap=max(cap, n)).within(n):
             bad.append(h)
-    return normal_closure(Subgroup.generated(group, bad), ambient)
+    return normal_closure(bad, ambient)
 
 
 def all_subgroups(group: ConcreteGroup, bound: int = SMALL_GROUP_BOUND) -> list[Subgroup]:
@@ -289,7 +289,7 @@ def _quotient_is_simple(group: ConcreteGroup, h: Subgroup) -> bool:
     for rep in group.class_reps():
         if rep in h.elemset:
             continue
-        ncl = normal_closure(Subgroup.generated(group, [*h.gens, rep]), group)
+        ncl = normal_closure([*h.gens, rep], group)
         if ncl.size < group.size:
             return False
     return True

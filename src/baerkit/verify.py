@@ -429,7 +429,7 @@ def check_cyclic_closure_class(
         todo = rng.sample(outside, min(trials, len(outside)))
         mode = "sampled"
     for g in todo:
-        ncl = normal_closure(Subgroup.generated(group, [g]), group)
+        ncl = normal_closure([g], group)
         cls = nilpotency_class(ncl)
         if cls is None or cls > 2:
             return _verdict(cid, False,
@@ -907,17 +907,12 @@ def run_example_checks(primes: tuple[int, ...] = (2, 3, 5), *, seed: int = 0,
                        max_cosets: int = DEFAULT_MAX_COSETS,
                        defect_cap: int = DEFAULT_CAP,
                        exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
-                       max_steps: int | None = None,
-                       allow_p7: bool = False) -> dict:
+                       max_steps: int | None = None) -> dict:
     """Verify the two worked example families: the order-128 class-4 group
     and the class-3 p-group family at the requested primes."""
     for p in primes:
         if p not in (2, 3, 5, 7):
             raise GroupError(f"supported primes are 2, 3, 5 and 7; got {p}")
-        if p == 7 and not allow_p7:
-            raise GroupError(
-                "p = 7 builds a group of order 117649 and is disabled by "
-                "default; pass --allow-p7 to run it")
     entries = [CorpusEntry("class4-2group", build_class4_2group)]
     entries += [CorpusEntry(f"class3-p{p}", partial(build_class3_p_group, p))
                 for p in primes]

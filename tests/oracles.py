@@ -166,12 +166,6 @@ def naive_centralizer(g, xs):
         if all(g.mult(a, x) == g.mult(x, a) for x in xs))
 
 
-def naive_normalizer(g, h):
-    """Elements a with h^a = h, testing every member of h."""
-    return frozenset(
-        a for a in range(g.size) if all(naive_conj(g, x, a) in h for x in h))
-
-
 def naive_upper_central_series(g):
     """Z_1 <= Z_2 <= ... as frozensets, where a lies in Z_{i+1} when
     [a, b] lies in Z_i for every b in the group; stops at the whole group

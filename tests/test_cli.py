@@ -159,9 +159,16 @@ def test_verify_examples_text_has_summary():
 
 
 def test_verify_examples_p7_gate():
-    out = run_cli("verify-examples", "--primes", "7")
+    out = run_cli("verify-examples", "--primes", "11")
     assert out.returncode == 1
-    assert "allow-p7" in out.stderr
+    assert "supported primes" in out.stderr
+
+
+def test_verify_examples_p7_is_bounded_by_max_steps():
+    # class4-2group fits the bound; the order-117649 build does not.
+    out = run_cli("verify-examples", "--primes", "7", "--max-steps", "200000")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "max_steps" in out.stderr
 
 
 def test_verify_examples_bad_prime_list():

@@ -10,7 +10,18 @@ import random
 
 import pytest
 
-from baerkit.core import GroupError, Subgroup, _ClosureBuilder, normal_closure
+from baerkit import core
+from baerkit.core import (
+    GroupError,
+    Subgroup,
+    _ClosureBuilder,
+    derived_series,
+    frattini_p_group,
+    lower_central_series,
+    normal_closure,
+)
+from baerkit.subnormal import classify
+from baerkit.verify import build_group, class3_p_group_presentation, dihedral_presentation
 
 from oracles import naive_closure, naive_normal_closure
 
@@ -70,8 +81,7 @@ def test_normal_closure_matches_naive(request, name, count):
     else:
         conjugators = group.generator_elements()
     for gens in _gen_lists(group, f"normal:{name}", count):
-        h = Subgroup.generated(group, gens)
-        n = normal_closure(h, group)
+        n = normal_closure(gens, group)
         assert n.elemset == naive_normal_closure(group, gens, conjugators)
         assert naive_closure(group, n.gens) == n.elemset
 
@@ -87,3 +97,37 @@ def test_from_elements_in_large_group(class3_p5):
         Subgroup.from_elements(group, [0, x])
     with pytest.raises(GroupError):
         Subgroup.from_elements(group, list(h.elements) + [y])
+
+
+def test_normal_closure_rejects_generators_outside_the_ambient(d16):
+    r, s = d16.generator_elements()
+    rotations = Subgroup.generated(d16, [r])
+    assert normal_closure([r], rotations).elemset == rotations.elemset
+    with pytest.raises(GroupError):
+        normal_closure([s], rotations)
+
+
+P3 = class3_p_group_presentation(3)
+
+
+@pytest.mark.parametrize("presentation, run, builders", [
+    pytest.param(P3, lower_central_series, 3, id="p3-lower-central"),
+    pytest.param(P3, derived_series, 2, id="p3-derived"),
+    pytest.param(P3, lambda g: frattini_p_group(g, 3), 1, id="p3-frattini"),
+    pytest.param(dihedral_presentation(16), classify, 28, id="d16-classify"),
+])
+def test_closures_built_per_computation(monkeypatch, presentation, run,
+                                        builders):
+    # Each normal closure is one build from its generating list; a fresh
+    # group has no memo to answer from.
+    built = []
+
+    class Counting(_ClosureBuilder):
+        def __init__(self, group):
+            built.append(group)
+            super().__init__(group)
+
+    group = build_group(presentation)
+    monkeypatch.setattr(core, "_ClosureBuilder", Counting)
+    run(group)
+    assert len(built) == builders

@@ -19,7 +19,6 @@ from baerkit.core import (
     lower_central_series,
     nilpotency_class,
     normal_closure,
-    normalizer,
     quotient,
     sylow_decomposition,
     upper_central_series,
@@ -33,7 +32,6 @@ from oracles import (
     find_isomorphism,
     naive_center,
     naive_centralizer,
-    naive_normalizer,
     naive_order,
     naive_upper_central_series,
     q8_model,
@@ -213,12 +211,7 @@ def test_whole_group_maps_agree_with_naive_scans(map_groups):
             xs = [rng.randrange(n) for _ in range(rng.randrange(1, 3))]
             assert frozenset(centralizer(group, xs).elements) \
                 == naive_centralizer(group, xs)
-            h = Subgroup.generated(group, xs)
-            assert frozenset(normalizer(group, h).elements) \
-                == naive_normalizer(group, h.elemset)
         assert centralizer(group, []).is_whole()
-        assert normalizer(group, Subgroup.trivial(group)).is_whole()
-        assert normalizer(group, Subgroup.whole(group)).is_whole()
 
 
 def test_nilpotency_class_frozen(s3, s4, d8, d16, q8):
@@ -267,19 +260,16 @@ def test_exponent_frozen(s3, q8):
 
 def test_normal_closure_in_symmetric_groups(s3, s4):
     b = s3.gen_element(1)
-    assert normal_closure(Subgroup.generated(s3, [b]), s3).size == 6
+    assert normal_closure([b], s3).size == 6
     a = s3.gen_element(0)
-    assert normal_closure(Subgroup.generated(s3, [a]), s3).size == 3
+    assert normal_closure([a], s3).size == 3
     double = s4.power(s4.gen_element(0), 2)
-    assert normal_closure(Subgroup.generated(s4, [double]), s4).size == 4
+    assert normal_closure([double], s4).size == 4
 
 
-def test_centralizer_and_normalizer_in_d8(d8):
+def test_centralizer_in_d8(d8):
     r = d8.gen_element(0)
-    s = d8.gen_element(1)
     assert centralizer(d8, [r]).size == 4
-    assert normalizer(d8, Subgroup.generated(d8, [s])).size == 4
-    assert normalizer(d8, Subgroup.generated(d8, [r])).size == 8
 
 
 def test_subgroup_generated_and_from_elements(d8):
@@ -294,7 +284,7 @@ def test_subgroup_generated_and_from_elements(d8):
 
 def test_quotient_of_s4_by_klein_four(s4):
     double = s4.power(s4.gen_element(0), 2)
-    v4 = normal_closure(Subgroup.generated(s4, [double]), s4)
+    v4 = normal_closure([double], s4)
     q = quotient(s4, v4)
     assert q.size == 6
     assert nilpotency_class(q) is None

@@ -114,6 +114,22 @@ def test_lookahead_pass_is_bounded_by_max_steps():
     assert 100000 < info.value.steps <= 110000
 
 
+@pytest.mark.parametrize("text", [
+    # Scanning coset 0 against the 10,000-letter relator defines one
+    # coset per letter: the scan must stop at the limit, not fill the
+    # table first.
+    "gens: a, b; rels: ((a*b)^50)^100",
+    # The relator reduces to nothing, so only row fills define cosets.
+    "gens: a; rels: a*a^-1",
+])
+def test_max_steps_bounds_the_cosets_defined(text):
+    with pytest.raises(EnumerationLimitError, match="max_steps") as info:
+        enumerate_cosets(parse_presentation(text), max_cosets=10000,
+                         max_steps=1000)
+    assert info.value.cosets_defined == 1002
+    assert info.value.steps == 1001
+
+
 def _cols_digest(cols) -> str:
     return hashlib.sha256(json.dumps(cols).encode()).hexdigest()
 

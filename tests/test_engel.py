@@ -10,7 +10,6 @@ from baerkit.engel import (
     check_expansion_formula,
     check_metabelian_identities,
     engel_bracket,
-    expansion_formula_holds,
     is_left_n_engel,
     is_n_engel_group,
     is_right_n_engel,
@@ -221,13 +220,6 @@ def test_expansion_formula_hand_case_n2(d8, q8, class3_p2):
                     group.mult(group.power(x, 2), group.comm(x, y)),
                     group.power(y, -2))
                 assert lhs == rhs
-                assert expansion_formula_holds(group, x, y, 2)
-
-
-def test_expansion_formula_n1_is_trivial(d16):
-    for x in range(d16.size):
-        for y in range(d16.size):
-            assert expansion_formula_holds(d16, x, y, 1)
 
 
 def test_expansion_check_exhaustive_on_small_groups(d16):
@@ -249,11 +241,6 @@ def test_expansion_check_samples_large_groups(class3_p3):
 def test_expansion_check_rejects_non_metabelian_groups(s4):
     with pytest.raises(GroupError):
         check_expansion_formula(s4)
-
-
-def test_expansion_single_pair_rejects_bad_depth(d8):
-    with pytest.raises(GroupError):
-        expansion_formula_holds(d8, 1, 2, 0)
 
 
 def test_batched_checks_report_the_scalar_witnesses(s4, monkeypatch):

@@ -285,8 +285,6 @@ def test_example_checks_structure():
 
 
 def test_example_checks_prime_gate():
-    with pytest.raises(GroupError, match="allow-p7"):
-        run_example_checks(primes=(7,))
     with pytest.raises(GroupError):
         run_example_checks(primes=(11,))
 
