@@ -718,15 +718,21 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def direct_product(g: ConcreteGroup, h: ConcreteGroup, max_size: int = 200_000) -> ConcreteGroup:
+# The largest direct product built, a guard on the columns' memory.
+MAX_PRODUCT_ORDER = 200_000
+
+
+def direct_product(g: ConcreteGroup, h: ConcreteGroup) -> ConcreteGroup:
     """Direct product with componentwise action.
 
-    The result's meta carries "embed_left"/"embed_right" index maps for
-    the canonical embeddings, and generators are the factor generators
-    (right factor names suffixed on collision)."""
+    The result's meta carries the two factors under "factors" and
+    "embed_left"/"embed_right" index maps for the canonical embeddings,
+    and generators are the factor generators (right factor names suffixed
+    on collision)."""
     n, m = g.size, h.size
-    if n * m > max_size:
-        raise GroupError(f"product order {n * m} exceeds the limit {max_size}")
+    if n * m > MAX_PRODUCT_ORDER:
+        raise GroupError(
+            f"product order {n * m} exceeds the limit {MAX_PRODUCT_ORDER}")
     cols = []
     for col in g.cols:
         cols.append([col[a] * m + b for a in range(n) for b in range(m)])
@@ -744,7 +750,7 @@ def direct_product(g: ConcreteGroup, h: ConcreteGroup, max_size: int = 200_000) 
     meta = {
         "embed_left": tuple(a * m for a in range(n)),
         "embed_right": tuple(range(m)),
-        "factor_sizes": (n, m),
+        "factors": (g, h),
     }
     return ConcreteGroup(cols, gen_names=names, meta=meta)
 

@@ -24,6 +24,7 @@ from .core import (
     GroupError,
     Subgroup,
     derived_length,
+    factorize,
     nilpotency_class,
     normal_closure,
     _as_subgroup,
@@ -280,8 +281,6 @@ def _quotient_is_simple(group: ConcreteGroup, h: Subgroup) -> bool:
     index = group.size // h.size
     if index == 1:
         return False
-    from .core import factorize
-
     if sum(factorize(index).values()) == 1:
         return True
     if nilpotency_class(group) is not None:

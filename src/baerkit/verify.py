@@ -88,6 +88,12 @@ __all__ = [
 
 DEFAULT_EXHAUSTIVE_THRESHOLD = 2048
 
+# Sample sizes of the checks that sample their inputs.
+_SAMPLES_PER_CELL = 10     # congruence-subnormality, per Frattini coset
+_CYCLIC_TRIALS = 200       # cyclic-closure-class
+_GENERATED_TRIALS = 12     # generated-subgroup-class, per generator count
+_INHERITANCE_TRIALS = 20   # subgroup-t2-inheritance
+
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
@@ -187,24 +193,15 @@ def build_group(text: str, name: str = "",
     return group
 
 
-# Keyed without max_steps: a step limit decides only whether a build
-# completes, never what it builds.
-_BUILD_MEMO: dict[tuple, ConcreteGroup] = {}
-
-
 def _build_expected(name: str, text: str, max_cosets: int,
                     max_steps: int | None, *, expected: dict, family: str,
                     prime: int) -> ConcreteGroup:
     """Build a benchmark group and record its family, its prime and the
     invariants its construction promises."""
-    key = ("expected", name, max_cosets)
-    memo = _BUILD_MEMO.get(key)
-    if memo is None:
-        memo = build_group(text, name, max_cosets, max_steps)
-        memo.meta.update({"family": family, "prime": prime,
-                          "expected": dict(expected)})
-        _BUILD_MEMO[key] = memo
-    return memo
+    group = build_group(text, name, max_cosets, max_steps)
+    group.meta.update({"family": family, "prime": prime,
+                       "expected": dict(expected)})
+    return group
 
 
 def build_class4_2group(max_cosets: int = DEFAULT_MAX_COSETS,
@@ -292,7 +289,7 @@ def check_expected_invariants(group: ConcreteGroup, *,
 def check_congruence_subnormality(
         group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
         exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
-        seed: int = 0, samples_per_cell: int = 10) -> TheoremCheck:
+        seed: int = 0) -> TheoremCheck:
     """On the class-3 family: <g> is 2-subnormal exactly when the congruence
     rule on the Frattini coordinates of g says so, and the defining bracket
     identities for g = x^m y^n z hold."""
@@ -315,7 +312,7 @@ def check_congruence_subnormality(
         for m in range(p):
             for n in range(p):
                 base = group.mult(group.power(x, m), group.power(y, n))
-                for z in rng.sample(felems, samples_per_cell):
+                for z in rng.sample(felems, _SAMPLES_PER_CELL):
                     todo.append(group.mult(base, z))
         mode = "transversal-sampled"
 
@@ -348,7 +345,7 @@ def check_congruence_subnormality(
     details = {"mode": mode, "count": checked, "prime": p}
     if mode != "exhaustive":
         details["seed"] = seed
-        details["samples_per_cell"] = samples_per_cell
+        details["samples_per_cell"] = _SAMPLES_PER_CELL
     return _verdict(cid, True, details)
 
 
@@ -412,7 +409,7 @@ def check_frattini_t2_structure(group: ConcreteGroup, *,
 def check_cyclic_closure_class(
         group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
         exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
-        seed: int = 0, trials: int = 200) -> TheoremCheck:
+        seed: int = 0) -> TheoremCheck:
     """When T_2 is proper, every element outside it generates a normal
     closure of class at most 2 and is a left 3-Engel element."""
     cid = "cyclic-closure-class"
@@ -426,7 +423,7 @@ def check_cyclic_closure_class(
         mode = "exhaustive"
     else:
         rng = random.Random(seed)
-        todo = rng.sample(outside, min(trials, len(outside)))
+        todo = rng.sample(outside, min(_CYCLIC_TRIALS, len(outside)))
         mode = "sampled"
     for g in todo:
         ncl = normal_closure([g], group)
@@ -448,12 +445,10 @@ def check_cyclic_closure_class(
 
 
 def check_generated_subgroup_class(
-        group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
-        ds: tuple[int, ...] = (1, 2, 3), trials: int = 12,
-        seed: int = 0,
+        group: ConcreteGroup, *, cap: int = DEFAULT_CAP, seed: int = 0,
         exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD) -> TheoremCheck:
-    """When T_2 is proper, every subgroup generated by d elements is
-    nilpotent of class at most 2(d + 1).  Each d checks every generator
+    """When T_2 is proper, every subgroup generated by d = 1, 2, 3 elements
+    is nilpotent of class at most 2(d + 1).  Each d checks every generator
     tuple when there are at most `exhaustive_threshold` of them."""
     cid = "generated-subgroup-class"
     t2 = classify(group, cap=cap).t2
@@ -462,10 +457,10 @@ def check_generated_subgroup_class(
                      t2_order=t2.size)
     rng = random.Random(seed)
     counts = {}
-    for d in ds:
+    for d in (1, 2, 3):
         bound = 2 * (d + 1)
-        tuples, mode = _inputs(rng, (range(group.size),) * d, trials,
-                               exhaustive_threshold)
+        tuples, mode = _inputs(rng, (range(group.size),) * d,
+                               _GENERATED_TRIALS, exhaustive_threshold)
         for gens in tuples:
             sub = Subgroup.generated(group, list(gens))
             cls = nilpotency_class(sub)
@@ -479,14 +474,13 @@ def check_generated_subgroup_class(
     return _verdict(cid, True, {"per_d": counts, "seed": seed})
 
 
-def check_metabelian_identity_suite(
-        group: ConcreteGroup, *, seed: int = 0,
-        trials: int = 200) -> TheoremCheck:
+def check_metabelian_identity_suite(group: ConcreteGroup, *,
+                                    seed: int = 0) -> TheoremCheck:
     """Commutator identities that hold in every metabelian group."""
     cid = "metabelian-identities"
     if not is_metabelian(group):
         return _skip(cid, "group is not metabelian")
-    results = check_metabelian_identities(group, seed=seed, trials=trials)
+    results = check_metabelian_identities(group, seed=seed)
     details = {
         "identities": {r.name: {"mode": r.mode, "trials": r.trials}
                        for r in results},
@@ -494,8 +488,7 @@ def check_metabelian_identity_suite(
     return _identities_verdict(cid, results, details)
 
 
-def check_expansion(group: ConcreteGroup, *, seed: int = 0,
-                    trials: int = 200) -> TheoremCheck:
+def check_expansion(group: ConcreteGroup, *, seed: int = 0) -> TheoremCheck:
     """Power expansion of (x y^-1)^n against the bracket-product formula in
     metabelian groups."""
     cid = "expansion-formula"
@@ -504,8 +497,7 @@ def check_expansion(group: ConcreteGroup, *, seed: int = 0,
     small = group.size <= 64
     n_values = (1, 2, 3, 4, 5, 6) if small else (1, 2, 3, 4, 5, 6, 7, 8)
     results = check_expansion_formula(
-        group, n_values=n_values, trials=trials, seed=seed,
-        exhaustive_order_bound=64)
+        group, n_values=n_values, seed=seed, exhaustive_order_bound=64)
     details = {
         "n_values": list(n_values),
         "mode": results[0].mode if results else "exhaustive",
@@ -604,14 +596,14 @@ def check_quotient_two_baer(group: ConcreteGroup, *,
 
 
 def check_subgroup_inheritance(group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
-                               trials: int = 20, seed: int = 0) -> TheoremCheck:
+                               seed: int = 0) -> TheoremCheck:
     """T_2 measured inside a subgroup H lands inside T_2(G) intersected
     with H."""
     cid = "subgroup-t2-inheritance"
     t2g = classify(group, cap=cap).t2
     rng = random.Random(seed)
     checked = 0
-    for i in range(trials):
+    for i in range(_INHERITANCE_TRIALS):
         d = 1 + (i % 2)
         gens = [rng.randrange(group.size) for _ in range(d)]
         sub = Subgroup.generated(group, gens)
@@ -650,7 +642,7 @@ def check_product_decomposition(h: ConcreteGroup, k: ConcreteGroup, *,
         return _skip(cid, "left factor has no proper T_2")
 
     g = product if product is not None else direct_product(h, k)
-    m = g.meta["factor_sizes"][1]
+    m = k.size
     embed_left = g.meta["embed_left"]
     greport = classify(g, cap=cap)
     t2h, t2g = hreport.t2, greport.t2
@@ -691,37 +683,20 @@ Builder = Callable[[int, int | None], ConcreteGroup]
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """A named group the suite knows how to build on demand."""
+    """A named group the suite knows how to build on demand.  Each call of
+    `build` builds the group afresh."""
 
     name: str
     build: Builder
-    factors: tuple[Builder, ...] | None = None
-
-
-def _presentation_builder(name: str, text: str) -> Builder:
-    def build(max_cosets: int = DEFAULT_MAX_COSETS,
-              max_steps: int | None = None) -> ConcreteGroup:
-        key = ("pres", text, max_cosets)
-        memo = _BUILD_MEMO.get(key)
-        if memo is None:
-            memo = build_group(text, name, max_cosets, max_steps)
-            _BUILD_MEMO[key] = memo
-        return memo
-
-    return build
 
 
 def _product_builder(name: str, left: Builder, right: Builder) -> Builder:
     def build(max_cosets: int = DEFAULT_MAX_COSETS,
               max_steps: int | None = None) -> ConcreteGroup:
-        key = ("product", name, max_cosets)
-        memo = _BUILD_MEMO.get(key)
-        if memo is None:
-            memo = direct_product(left(max_cosets, max_steps),
-                                  right(max_cosets, max_steps))
-            memo.meta["name"] = name
-            _BUILD_MEMO[key] = memo
-        return memo
+        group = direct_product(left(max_cosets, max_steps),
+                               right(max_cosets, max_steps))
+        group.meta["name"] = name
+        return group
 
     return build
 
@@ -745,38 +720,29 @@ def parse_corpus_text(text: str, source: str = "<corpus>",
             parse_presentation(body, max_syllables=max_cosets)
         except PresentationError as exc:
             raise GroupError(f"{source}:{lineno}: {exc}") from exc
-        entries.append(CorpusEntry(name, _presentation_builder(name, body)))
+        entries.append(CorpusEntry(name, partial(build_group, body, name)))
     return entries
 
 
 def default_corpus() -> list[CorpusEntry]:
     """The benchmark corpus, in report order."""
-    entries = []
-    for n in range(2, 13):
-        entries.append(CorpusEntry(
-            f"C{n}", _presentation_builder(f"C{n}", cyclic_presentation(n))))
-    for order in (8, 10, 12, 14, 16):
-        entries.append(CorpusEntry(
-            f"D{order}",
-            _presentation_builder(f"D{order}", dihedral_presentation(order))))
-    entries.append(CorpusEntry(
-        "Q8", _presentation_builder("Q8", quaternion_presentation())))
-    entries.append(CorpusEntry(
-        "S3", _presentation_builder("S3", symmetric_presentation(3))))
-    entries.append(CorpusEntry(
-        "S4", _presentation_builder("S4", symmetric_presentation(4))))
-    entries.append(CorpusEntry(
-        "A4", _presentation_builder("A4", alternating4_presentation())))
+    texts = [(f"C{n}", cyclic_presentation(n)) for n in range(2, 13)]
+    texts += [(f"D{order}", dihedral_presentation(order))
+              for order in (8, 10, 12, 14, 16)]
+    texts += [("Q8", quaternion_presentation()),
+              ("S3", symmetric_presentation(3)),
+              ("S4", symmetric_presentation(4)),
+              ("A4", alternating4_presentation())]
+    entries = [CorpusEntry(name, partial(build_group, text, name))
+               for name, text in texts]
     entries.append(CorpusEntry("class4-2group", build_class4_2group))
     for p in (2, 3, 5):
         entries.append(CorpusEntry(f"class3-p{p}",
                                    partial(build_class3_p_group, p)))
-    c2 = _presentation_builder("C2", cyclic_presentation(2))
     entries.append(CorpusEntry(
         "class3-p3 x C2",
-        _product_builder("class3-p3 x C2",
-                         partial(build_class3_p_group, 3), c2),
-        factors=(partial(build_class3_p_group, 3), c2)))
+        _product_builder("class3-p3 x C2", partial(build_class3_p_group, 3),
+                         partial(build_group, cyclic_presentation(2), "C2"))))
     return entries
 
 
@@ -786,61 +752,50 @@ def _derived_seed(seed: int, group_name: str, check_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
-class _Run:
-    """What a suite check needs to know besides its own seed."""
-
-    entry: CorpusEntry
-    group: ConcreteGroup
-    cap: int
-    threshold: int
-    max_cosets: int
-    max_steps: int | None
-
-
-def _product_check(run: _Run, seed: int) -> TheoremCheck | None:
-    if run.entry.factors is None:
+def _product_check(group: ConcreteGroup, cap: int, threshold: int,
+                   seed: int) -> TheoremCheck | None:
+    if "factors" not in group.meta:
         return None
-    left, right = run.entry.factors
-    return check_product_decomposition(
-        left(run.max_cosets, run.max_steps),
-        right(run.max_cosets, run.max_steps), cap=run.cap,
-        product=run.group)
+    return check_product_decomposition(*group.meta["factors"], cap=cap,
+                                       product=group)
 
 
-# The suite as (check id, call(run, seed)) in running order; reports list
-# the checks sorted by id.  The seed is derived from the run's seed, the
-# group name and the check id; a call returns None where its check does
-# not apply to the entry.  The calls look their check functions up by name
-# when they run, so a wrapped or patched module function is the one called.
+# The suite as (check id, call(group, cap, threshold, seed)) in running
+# order; reports list the checks sorted by id.  The seed is derived from
+# the run's seed, the group name and the check id; a call returns None
+# where its check does not apply to the group.  The calls look their check
+# functions up by name when they run, so a wrapped or patched module
+# function is the one called.
 _SUITE_CHECKS = (
     ("expected-invariants",
-     lambda r, seed: check_expected_invariants(r.group, cap=r.cap)),
+     lambda g, cap, threshold, seed: check_expected_invariants(g, cap=cap)),
     ("congruence-subnormality",
-     lambda r, seed: check_congruence_subnormality(
-         r.group, cap=r.cap, exhaustive_threshold=r.threshold, seed=seed)),
+     lambda g, cap, threshold, seed: check_congruence_subnormality(
+         g, cap=cap, exhaustive_threshold=threshold, seed=seed)),
     ("frattini-t2-structure",
-     lambda r, seed: check_frattini_t2_structure(r.group, cap=r.cap)),
+     lambda g, cap, threshold, seed: check_frattini_t2_structure(g, cap=cap)),
     ("cyclic-closure-class",
-     lambda r, seed: check_cyclic_closure_class(
-         r.group, cap=r.cap, exhaustive_threshold=r.threshold, seed=seed)),
+     lambda g, cap, threshold, seed: check_cyclic_closure_class(
+         g, cap=cap, exhaustive_threshold=threshold, seed=seed)),
     ("generated-subgroup-class",
-     lambda r, seed: check_generated_subgroup_class(
-         r.group, cap=r.cap, seed=seed, exhaustive_threshold=r.threshold)),
+     lambda g, cap, threshold, seed: check_generated_subgroup_class(
+         g, cap=cap, seed=seed, exhaustive_threshold=threshold)),
     ("metabelian-identities",
-     lambda r, seed: check_metabelian_identity_suite(r.group, seed=seed)),
+     lambda g, cap, threshold, seed: check_metabelian_identity_suite(
+         g, seed=seed)),
     ("expansion-formula",
-     lambda r, seed: check_expansion(r.group, seed=seed)),
+     lambda g, cap, threshold, seed: check_expansion(g, seed=seed)),
     ("odd-p-class-three",
-     lambda r, seed: check_odd_p_metabelian_class(r.group, cap=r.cap)),
+     lambda g, cap, threshold, seed: check_odd_p_metabelian_class(
+         g, cap=cap)),
     ("solubility-and-engel",
-     lambda r, seed: check_solubility_and_engel(r.group, cap=r.cap,
-                                                seed=seed)),
+     lambda g, cap, threshold, seed: check_solubility_and_engel(
+         g, cap=cap, seed=seed)),
     ("quotient-two-baer",
-     lambda r, seed: check_quotient_two_baer(r.group, cap=r.cap)),
+     lambda g, cap, threshold, seed: check_quotient_two_baer(g, cap=cap)),
     ("subgroup-t2-inheritance",
-     lambda r, seed: check_subgroup_inheritance(r.group, cap=r.cap,
-                                                seed=seed)),
+     lambda g, cap, threshold, seed: check_subgroup_inheritance(
+         g, cap=cap, seed=seed)),
     ("product-decomposition", _product_check),
 )
 
@@ -878,9 +833,8 @@ def run_full_suite(corpus: list[CorpusEntry] | None = None, *, seed: int = 0,
     reports = []
     for entry in corpus:
         group = entry.build(max_cosets, max_steps)
-        run = _Run(entry, group, defect_cap, exhaustive_threshold, max_cosets,
-                   max_steps)
-        results = [call(run, _derived_seed(seed, entry.name, cid))
+        results = [call(group, defect_cap, exhaustive_threshold,
+                        _derived_seed(seed, entry.name, cid))
                    for cid, call in table]
         results = sorted((c for c in results if c is not None),
                          key=lambda c: c.id)
@@ -913,6 +867,8 @@ def run_example_checks(primes: tuple[int, ...] = (2, 3, 5), *, seed: int = 0,
     for p in primes:
         if p not in (2, 3, 5, 7):
             raise GroupError(f"supported primes are 2, 3, 5 and 7; got {p}")
+    if len(set(primes)) != len(primes):
+        raise GroupError(f"each prime may be given once; got {list(primes)}")
     entries = [CorpusEntry("class4-2group", build_class4_2group)]
     entries += [CorpusEntry(f"class3-p{p}", partial(build_class3_p_group, p))
                 for p in primes]

@@ -4,6 +4,7 @@ from baerkit.verify import (
     build_class3_p_group,
     build_class4_2group,
     build_group,
+    default_corpus,
     dihedral_presentation,
     quaternion_presentation,
     symmetric_presentation,
@@ -53,3 +54,13 @@ def class3_p3():
 @pytest.fixture(scope="session")
 def class3_p5():
     return build_class3_p_group(5)
+
+
+@pytest.fixture(scope="session")
+def corpus_groups(class4_group, class3_p2, class3_p3, class3_p5):
+    """The default corpus built once, as (name, group) in report order.
+    The benchmark groups are the session's own fixtures, not rebuilt."""
+    built = {g.meta["name"]: g
+             for g in (class4_group, class3_p2, class3_p3, class3_p5)}
+    return [(entry.name, built.get(entry.name) or entry.build())
+            for entry in default_corpus()]

@@ -29,8 +29,6 @@ from baerkit.subnormal import (
     cyclic_defect,
 )
 from baerkit.verify import (
-    build_class3_p_group,
-    build_class4_2group,
     check_congruence_subnormality,
     check_cyclic_closure_class,
     check_expansion,
@@ -40,7 +38,6 @@ from baerkit.verify import (
     check_product_decomposition,
     check_quotient_two_baer,
     check_subgroup_inheritance,
-    default_corpus,
 )
 
 GT2_NAMES = ("class4-2group", "class3-p2", "class3-p3", "class3-p5",
@@ -51,9 +48,9 @@ def _done(label):
     print(f"{label}: pass")
 
 
-def test_01_class4_example_has_advertised_invariants():
+def test_01_class4_example_has_advertised_invariants(class4_group):
     start = time.monotonic()
-    group = build_class4_2group()
+    group = class4_group
     report = classify(group)
     assert group.size == 128
     assert report.nilpotency_class == 4
@@ -66,10 +63,10 @@ def test_01_class4_example_has_advertised_invariants():
     _done("01 class-4 example invariants")
 
 
-def test_02_class3_family_structure_at_all_primes():
+def test_02_class3_family_structure_at_all_primes(class3_p2, class3_p3,
+                                                 class3_p5):
     start = time.monotonic()
-    for p in (2, 3):
-        group = build_class3_p_group(p)
+    for p, group in ((2, class3_p2), (3, class3_p3)):
         report = classify(group)
         assert group.size == p ** 6
         assert report.nilpotency_class == 3
@@ -82,7 +79,7 @@ def test_02_class3_family_structure_at_all_primes():
     assert time.monotonic() - start < 30.0
 
     start = time.monotonic()
-    group = build_class3_p_group(5)
+    group = class3_p5
     report = classify(group)
     assert group.size == 5 ** 6
     assert report.nilpotency_class == 3
@@ -95,14 +92,14 @@ def test_02_class3_family_structure_at_all_primes():
     _done("02 class-3 family structure at p=2,3,5")
 
 
-def test_03_congruence_rule_governs_2_subnormality():
-    for p in (2, 3):
-        check = check_congruence_subnormality(build_class3_p_group(p))
+def test_03_congruence_rule_governs_2_subnormality(class3_p2, class3_p3,
+                                                   class3_p5):
+    for p, group in ((2, class3_p2), (3, class3_p3)):
+        check = check_congruence_subnormality(group)
         assert check.status == "pass"
         assert check.details["mode"] == "exhaustive"
         assert check.details["count"] == p ** 6
-    check = check_congruence_subnormality(
-        build_class3_p_group(5), seed=2024, samples_per_cell=10)
+    check = check_congruence_subnormality(class3_p5, seed=2024)
     assert check.status == "pass"
     assert check.details["mode"] == "transversal-sampled"
     assert check.details["count"] == 250
@@ -110,11 +107,10 @@ def test_03_congruence_rule_governs_2_subnormality():
     _done("03 congruence rule exhaustive at p=2,3 and sampled at p=5")
 
 
-def test_04_defects_match_independent_lattice_search():
+def test_04_defects_match_independent_lattice_search(corpus_groups):
     start = time.monotonic()
     checked_groups = 0
-    for entry in default_corpus():
-        group = entry.build()
+    for name, group in corpus_groups:
         if group.size > 24:
             continue
         checked_groups += 1
@@ -122,32 +118,31 @@ def test_04_defects_match_independent_lattice_search():
             fast = cyclic_defect(group, e, cap=10).defect
             slow = brute_force_defect(
                 Subgroup.generated(group, [e]), group).defect
-            assert fast == slow, (entry.name, e)
+            assert fast == slow, (name, e)
     assert checked_groups == 20
     assert time.monotonic() - start < 60.0
     _done("04 defects agree with lattice search on all small corpus groups")
 
 
-def test_05_elements_outside_t2_generate_class_2_closures():
-    for builder, outside in ((build_class4_2group, 64),
-                             (lambda: build_class3_p_group(2), 32),
-                             (lambda: build_class3_p_group(3), 486)):
-        check = check_cyclic_closure_class(builder())
+def test_05_elements_outside_t2_generate_class_2_closures(
+        class4_group, class3_p2, class3_p3, class3_p5):
+    for group, outside in ((class4_group, 64), (class3_p2, 32),
+                           (class3_p3, 486)):
+        check = check_cyclic_closure_class(group)
         assert check.status == "pass"
         assert check.details["mode"] == "exhaustive"
         assert check.details["outside_t2"] == outside
         assert check.details["count"] == outside
-    check = check_cyclic_closure_class(
-        build_class3_p_group(5), seed=123, trials=200)
+    check = check_cyclic_closure_class(class3_p5, seed=123)
     assert check.status == "pass"
     assert check.details["mode"] == "sampled"
     assert check.details["count"] == 200
     _done("05 closure class at most 2 outside T2, exhaustive and sampled")
 
 
-def test_06_odd_p_groups_have_class_exactly_three():
-    for p in (3, 5):
-        group = build_class3_p_group(p)
+def test_06_odd_p_groups_have_class_exactly_three(class4_group, class3_p3,
+                                                  class3_p5):
+    for group in (class3_p3, class3_p5):
         assert is_metabelian(group)
         assert classify(group).classification == GENERALIZED_T2
         assert nilpotency_class(group) == 3
@@ -156,28 +151,28 @@ def test_06_odd_p_groups_have_class_exactly_three():
         assert check.status == "pass"
         assert check.details["class"] == 3
         assert check.details["engel3"] is True
-    sharp = check_odd_p_metabelian_class(build_class4_2group())
+    sharp = check_odd_p_metabelian_class(class4_group)
     assert sharp.status == "skipped"
     assert sharp.details["observed_class"] == 4
     assert sharp.details["sharpness_witness"] is True
     _done("06 class exactly 3 for odd p, sharpness witness at p=2")
 
 
-def test_07_expansion_formula_exhaustive_and_sampled():
+def test_07_expansion_formula_exhaustive_and_sampled(corpus_groups,
+                                                     class4_group, class3_p3):
     exhausted = 0
-    for entry in default_corpus():
-        group = entry.build()
+    for name, group in corpus_groups:
         if group.size > 64 or not is_metabelian(group):
             continue
         check = check_expansion(group)
-        assert check.status == "pass", entry.name
+        assert check.status == "pass", name
         assert check.details["mode"] == "exhaustive"
         assert check.details["n_values"] == [1, 2, 3, 4, 5, 6]
         assert check.details["pairs"] == group.size ** 2
         exhausted += 1
     assert exhausted >= 20
-    for builder in (build_class4_2group, lambda: build_class3_p_group(3)):
-        check = check_expansion(builder(), seed=5, trials=200)
+    for group in (class4_group, class3_p3):
+        check = check_expansion(group, seed=5)
         assert check.status == "pass"
         assert check.details["mode"] == "sampled"
         assert check.details["n_values"] == [1, 2, 3, 4, 5, 6, 7, 8]
@@ -185,32 +180,28 @@ def test_07_expansion_formula_exhaustive_and_sampled():
     _done("07 expansion formula on all metabelian corpus groups")
 
 
-def test_08_quotients_and_subgroups_inherit_the_theory():
+def test_08_quotients_and_subgroups_inherit_the_theory(
+        corpus_groups, class4_group, class3_p2, class3_p3, class3_p5):
     gt2_passes = 0
-    for entry in default_corpus():
-        group = entry.build()
+    for name, group in corpus_groups:
         check = check_quotient_two_baer(group)
-        assert check.status != "fail", entry.name
-        if entry.name in GT2_NAMES:
+        assert check.status != "fail", name
+        if name in GT2_NAMES:
             assert check.status == "pass"
             assert check.details["quotient_t2_order"] == 1
             gt2_passes += 1
     assert gt2_passes == len(GT2_NAMES)
-    for builder in (build_class4_2group,
-                    lambda: build_class3_p_group(2),
-                    lambda: build_class3_p_group(3),
-                    lambda: build_class3_p_group(5)):
-        check = check_subgroup_inheritance(builder(), trials=20, seed=7)
+    for group in (class4_group, class3_p2, class3_p3, class3_p5):
+        check = check_subgroup_inheritance(group, seed=7)
         assert check.status == "pass"
         assert check.details["count"] == 20
     _done("08 quotient is 2-Baer and subgroups inherit T2 containment")
 
 
-def test_09_product_with_coprime_2_baer_factor():
-    entry = next(e for e in default_corpus() if e.factors is not None)
-    left, right = entry.factors
-    check = check_product_decomposition(left(), right(),
-                                        product=entry.build())
+def test_09_product_with_coprime_2_baer_factor(corpus_groups):
+    group = next(g for _, g in corpus_groups if "factors" in g.meta)
+    check = check_product_decomposition(*group.meta["factors"],
+                                        product=group)
     assert check.status == "pass"
     assert check.details["classification"] == GENERALIZED_T2
     assert check.details["left_t2_order"] == 243

@@ -5,7 +5,7 @@ import weakref
 
 from baerkit.core import nilpotency_class
 from baerkit.subnormal import classify, t_n_subgroup
-from baerkit.verify import build_group, dihedral_presentation
+from baerkit.verify import build_group, dihedral_presentation, parse_corpus_text
 
 
 def _d12():
@@ -29,3 +29,13 @@ def test_classify_is_memoized_and_carries_t2():
     assert report.t2.elemset == t_n_subgroup(group, 2).elemset
     assert "t2" not in report.to_json_dict()
     assert "t2=" not in repr(report)
+
+
+def test_corpus_group_is_collected_once_dropped():
+    (entry,) = parse_corpus_text("D20 | gens: r, s; rels: r^10; s^2; (r*s)^2")
+    group = entry.build()
+    classify(group)
+    ref = weakref.ref(group)
+    del group
+    gc.collect()
+    assert ref() is None

@@ -162,6 +162,9 @@ def test_verify_examples_p7_gate():
     out = run_cli("verify-examples", "--primes", "11")
     assert out.returncode == 1
     assert "supported primes" in out.stderr
+    out = run_cli("verify-examples", "--primes", "7,7")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert "once" in out.stderr
 
 
 def test_verify_examples_p7_is_bounded_by_max_steps():

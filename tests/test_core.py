@@ -314,6 +314,8 @@ def test_direct_product_c2_c3_is_cyclic():
 def test_direct_product_embeddings_commute(q8):
     c3 = build_group(cyclic_presentation(3))
     g = direct_product(q8, c3)
+    factor_left, factor_right = g.meta["factors"]
+    assert factor_left is q8 and factor_right is c3
     left = g.meta["embed_left"]
     right = g.meta["embed_right"]
     for a in range(q8.size):

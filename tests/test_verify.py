@@ -70,11 +70,6 @@ def test_benchmark_builders_meet_their_own_expectations(class4_group, class3_p2)
         assert group.size == group.meta["expected"]["order"]
 
 
-def test_benchmark_builders_are_memoized(class4_group, class3_p3):
-    assert build_class4_2group() is class4_group
-    assert build_class3_p_group(3) is class3_p3
-
-
 def test_congruence_rule_frozen_table():
     assert two_subnormal_congruence(3, 0, 0)
     assert two_subnormal_congruence(3, 1, 0)
@@ -129,7 +124,7 @@ def test_expected_invariants_flag_mismatches():
 def test_parse_corpus_text_round_trip():
     entries = parse_corpus_text(CORPUS_TEXT, source="tiny.txt")
     assert [e.name for e in entries] == ["C6", "K4"]
-    assert all(e.factors is None for e in entries)
+    assert all("factors" not in e.build().meta for e in entries)
     assert entries[0].build().size == 6
     assert entries[1].build().size == 4
 
@@ -160,8 +155,8 @@ def test_default_corpus_names_frozen():
            "class3-p3 x C2"]
     )
     by_name = {e.name: e for e in default_corpus()}
-    assert by_name["class3-p3 x C2"].factors is not None
-    assert by_name["class4-2group"].factors is None
+    assert "factors" in by_name["class3-p3 x C2"].build().meta
+    assert "factors" not in by_name["class4-2group"].build().meta
 
 
 def test_full_suite_shape_and_check_ids():
@@ -287,6 +282,8 @@ def test_example_checks_structure():
 def test_example_checks_prime_gate():
     with pytest.raises(GroupError):
         run_example_checks(primes=(11,))
+    with pytest.raises(GroupError, match="once"):
+        run_example_checks(primes=(7, 7))
 
 
 def test_product_check_skip_paths(class3_p2):
@@ -315,9 +312,9 @@ def test_product_check_two_baer_and_proper_t2_paths(class3_p2):
 
 
 def test_product_entry_in_default_corpus_passes():
-    entry = next(e for e in default_corpus() if e.factors is not None)
-    left, right = entry.factors
-    check = check_product_decomposition(left(), right(), product=entry.build())
+    entry = next(e for e in default_corpus() if e.name == "class3-p3 x C2")
+    group = entry.build()
+    check = check_product_decomposition(*group.meta["factors"], product=group)
     assert check.status == "pass"
     assert check.details["product_t2_order"] == 486
     assert check.details["left_t2_order"] == 243
