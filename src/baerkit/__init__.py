@@ -1,8 +1,9 @@
 """baerkit: realize finitely presented finite groups and measure how far
 their cyclic subgroups are from normality.
 
-The pipeline: parse a presentation, enumerate cosets over the trivial
-subgroup to get the regular action, then compute subnormality defects,
+The pipeline: parse a presentation, enumerate cosets over the cyclic
+subgroup of its first generator, lift that table to the regular action
+and number the elements canonically, then compute subnormality defects,
 the T_n subgroups they generate, Engel identities, and the structural
 checks the verification suite runs over a corpus of benchmark groups.
 """

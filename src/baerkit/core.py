@@ -98,6 +98,10 @@ class ConcreteGroup:
             raise GroupError("generator names do not match columns")
         self.meta = dict(meta or {})
         self._check_columns()
+        # One int object per element, shared by all columns: a walk then
+        # reads n objects laid out in order, not one per column entry.
+        ints = list(range(n))
+        self.cols = [list(map(ints.__getitem__, c)) for c in cols]
         self._bfs()
         # Memos keyed by an argument, each filled by the function named.
         self._orders: dict[int, int] = {}  # element_order

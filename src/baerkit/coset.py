@@ -6,30 +6,45 @@ gaps of length one become deductions, longer gaps are filled by defining
 new cosets, and scan mismatches become coincidences that collapse the
 table through a union-find merge queue.  Rows are also filled directly
 so the finished table is complete.  Cosets are numbered in definition
-order, and that numbering becomes the element numbering of to_group(),
-so the definition order is part of every result built on a table.
+order.
 
-The table is one Python list per letter.  Each word's scan walks its
-forward and backward columns from lists bound once per table, so a
-letter costs one list index and one lookup; compaction replaces the
-columns and rebinds them.
+The subgroup H is cyclic, generated by at most one word w, and every
+entry c -s-> d carries a label h with rep(c)*s = w^h * rep(d), as in the
+modified Todd-Coxeter procedure (Holt, Eick & O'Brien, Handbook of
+Computational Group Theory, 5.3.2).  Scans add up labels on the way,
+deductions and coincidences set them so that each relator reads w^0
+and w itself reads w^1, and a dead coset keeps the label relating it to
+the coset it was merged into.  On the finished table each relator
+closes at every coset with some label k, and w at coset 0 with some k',
+so w^k = 1 and w^(k'-1) = 1 in the group; the gcd of these exponents is
+|H|, and 0 when H is infinite.
+
+The table is one Python list per letter, and one label list per letter.
+Each word's scan walks its forward and backward columns from lists
+bound once per table, so a letter costs two list indexes and one
+lookup; compaction replaces the columns and rebinds them.
 
 When the allocation limit is reached, one lookahead pass (scanning
-without defining) runs, the table is compacted, and enumeration resumes;
-if that frees almost nothing the enumeration gives up with
+without defining) runs and, if it frees enough, the table is compacted
+and enumeration resumes; otherwise the enumeration gives up with
 EnumerationLimitError rather than silently truncating.  The step limit,
 when set, counts every coset defined and holds in both kinds of pass,
 inside a scan too.
 
 The finished table is checked once more with numpy, one gather over all
-cosets per relator letter.  Over the trivial subgroup it is the right
-regular action of the presented group, which to_group() packages as a
-ConcreteGroup.
+cosets per relator letter.  to_group() lifts it to the right regular
+action on the pairs (j, c), standing for w^j * rep(c):
+(j, c)*s = (j + h(c, s) mod |H|, c*s), checks the lifted table the same
+way, and then standardizes it: elements are renumbered in breadth-first
+order from the identity, letter by letter (Handbook 5.1.4), so the
+element numbering depends only on the group and its generator order,
+not on H or on the enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -61,17 +76,22 @@ class _Saturated(Exception):
 
 @dataclass
 class CosetTable:
-    """Completed coset table.
+    """Completed coset table of a cyclic subgroup H.
 
     cols holds one column per letter: column 2*i is the action of
     generator i, column 2*i+1 the action of its inverse, so
-    cols[l][c] is the coset reached from c along letter l.
+    cols[l][c] is the coset reached from c along letter l.  labels has
+    the same layout: rep(c) * letter l = w^labels[l][c] * rep(cols[l][c])
+    for the generator w of H.  subgroup_order is |H| (0 if H is
+    infinite, 1 if it has no generator).
     """
 
     presentation: GroupPresentation
     subgroup_generators: tuple[Word, ...]
     cols: list[list[int]]
     coset_count: int
+    labels: list[list[int]]
+    subgroup_order: int
 
 
 def _letters(w: Word, gen_col: dict[str, int]) -> list[int]:
@@ -82,6 +102,12 @@ def _letters(w: Word, gen_col: dict[str, int]) -> list[int]:
     return out
 
 
+def _letter_words(pres: GroupPresentation, words) -> list[list[int]]:
+    # the words that do not reduce to 1, as lists of letter columns
+    gen_col = {g: 2 * i for i, g in enumerate(pres.generators)}
+    return [w for w in (_letters(r, gen_col) for r in words) if w]
+
+
 def enumerate_cosets(
     pres: GroupPresentation,
     subgroup_gens: tuple[Word, ...] | list[Word] = (),
@@ -89,7 +115,8 @@ def enumerate_cosets(
     max_cosets: int = DEFAULT_MAX_COSETS,
     max_steps: int | None = None,
 ) -> CosetTable:
-    """Enumerate cosets of the subgroup generated by subgroup_gens.
+    """Enumerate cosets of the cyclic subgroup generated by subgroup_gens,
+    which holds at most one word.
 
     Deterministic: new cosets are numbered in first-gap scan order, so
     the same input always yields the same table.  A step is one letter
@@ -102,94 +129,129 @@ def enumerate_cosets(
     max_cosets, and PresentationError never; bad input should be caught
     at parse time.
     """
-    ngens = len(pres.generators)
-    ncols = 2 * ngens
-    gen_col = {g: 2 * i for i, g in enumerate(pres.generators)}
+    ncols = 2 * len(pres.generators)
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
+    if len(subgroup_gens) > 1:
+        raise ValueError("the subgroup must be cyclic: one generator at most")
     longest = max((r.letter_count() for r in pres.relators), default=0)
     if longest > max_cosets:
         raise EnumerationLimitError(
             f"a relator of {longest} letters exceeds max_cosets={max_cosets}", 0, 0)
-    rel_words = [w for w in (_letters(r, gen_col) for r in pres.relators) if w]
-    sub_words = [w for w in (_letters(s, gen_col) for s in subgroup_gens) if w]
+    rel_words = _letter_words(pres, pres.relators)
+    sub_words = _letter_words(pres, subgroup_gens)
     step_limit = float("inf") if max_steps is None else max_steps
 
     cols: list[list[int]] = [[-1] for _ in range(ncols)]
+    labs: list[list[int]] = [[0] for _ in range(ncols)]
     # A coset c is live while parent[c] == c; a dead one points towards
-    # the coset it was merged into (union-find with path halving).
+    # the coset it was merged into (union-find with path halving), and
+    # rep(c) = w^plab[c] * rep(parent[c]).
     parent = [0]
+    plab: dict[int, int] = {}
     dead_queue: list[int] = []
     steps = 0
-    # Per relator and per subgroup generator w, the columns cols[w[i]]
-    # and cols[w[i] ^ 1]; per letter, (column, inverse column).
-    rels: list[tuple[list, list]] = []
-    subs: list[tuple[list, list]] = []
-    pairs: list[tuple[list, list]] = []
+    # the gcd of the relations w^k = 1 met so far, 0 before the first;
+    # labels are reduced modulo it, which keeps them small
+    rel = 0
+    # Per letter, (column, inverse column, labels, inverse labels); per
+    # relator and per subgroup generator w, the same four for each
+    # letter w[i], as four sequences indexed by i.
+    quads: list[tuple[list, list, list, list]] = []
+    rels: list[tuple[tuple, tuple, tuple, tuple]] = []
+    subs: list[tuple[tuple, tuple, tuple, tuple]] = []
 
     def bind():
-        rels[:] = [([cols[l] for l in w], [cols[l ^ 1] for l in w])
-                   for w in rel_words]
-        subs[:] = [([cols[l] for l in w], [cols[l ^ 1] for l in w])
-                   for w in sub_words]
-        pairs[:] = [(cols[l], cols[l ^ 1]) for l in range(ncols)]
+        quads[:] = [(cols[l], cols[l ^ 1], labs[l], labs[l ^ 1])
+                    for l in range(ncols)]
+        rels[:] = [tuple(zip(*(quads[l] for l in w))) for w in rel_words]
+        subs[:] = [tuple(zip(*(quads[l] for l in w))) for w in sub_words]
 
-    def findrep(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
+    def findrep(c: int) -> tuple[int, int]:
+        # (r, u) with r live and rep(c) = w^u * rep(r)
+        u = 0
+        while True:
+            p = parent[c]
+            if p == c:
+                return c, u
+            pp = parent[p]
+            if pp != p:
+                plab[c] += plab[p]
+                parent[c] = pp
+            u += plab[c]
+            c = pp
 
-    def define(c: int, col: list, inv: list) -> int:
-        # a new coset n with c -> n along col's letter
+    def define(c: int, col: list, inv: list, lab: list) -> int:
+        # a new coset n with rep(n) = rep(c) * (col's letter)
         n = len(parent)
         if n >= max_cosets:
             raise _Saturated
         for column in cols:
             column.append(-1)
+        for column in labs:
+            column.append(0)
         parent.append(n)
         col[c] = n
+        lab[c] = 0
         inv[n] = c
         return n
 
-    def merge(a: int, b: int):
-        a, b = findrep(a), findrep(b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            dead_queue.append(b)
+    def merge(a: int, b: int, k: int):
+        # rep(a) = w^k * rep(b)
+        nonlocal rel
+        a, u = findrep(a)
+        b, v = findrep(b)
+        k += v - u
+        if rel:
+            k %= rel
+        if a == b:
+            rel = gcd(rel, k)
+            return
+        if a > b:
+            a, b, k = b, a, -k
+        parent[b] = a
+        plab[b] = -k
+        dead_queue.append(b)
 
-    def coincide(a: int, b: int):
-        merge(a, b)
+    def coincide(a: int, b: int, k: int):
+        merge(a, b, k)
         while dead_queue:
             y = dead_queue.pop()
-            for col, inv in pairs:
+            for col, inv, lab, ilab in quads:
                 d = col[y]
                 if d < 0:
                     continue
                 if inv[d] == y:
                     inv[d] = -1
-                mu = y
-                while parent[mu] != mu:
-                    parent[mu] = mu = parent[parent[mu]]
-                nu = d
-                while parent[nu] != nu:
-                    parent[nu] = nu = parent[parent[nu]]
-                if col[mu] >= 0:
-                    merge(nu, col[mu])
-                elif inv[nu] >= 0:
-                    merge(mu, inv[nu])
+                mu, u = findrep(y)
+                nu, v = findrep(d)
+                g = lab[y] - u + v  # rep(mu) * s = w^g * rep(nu)
+                if rel:
+                    g %= rel
+                t = col[mu]
+                if t >= 0:
+                    merge(nu, t, lab[mu] - g)
                 else:
-                    col[mu] = nu
-                    inv[nu] = mu
+                    t = inv[nu]
+                    if t >= 0:
+                        merge(mu, t, g + ilab[nu])
+                    else:
+                        col[mu] = nu
+                        lab[mu] = g
+                        inv[nu] = mu
+                        ilab[nu] = -g
 
-    def scan(c: int, fw: list, bw: list, fill: bool):
-        """Scan c under one word, given as its bound forward and
-        backward columns: close it, deduce its one missing entry, or
-        find a coincidence; with fill, define cosets across a gap of two
-        or more letters."""
-        nonlocal steps
+    def scan(c: int, fw: tuple, bw: tuple, fl: tuple, bl: tuple,
+             target: int, fill: bool):
+        """Scan c under one word that should read w^target, given as its
+        bound forward and backward columns and labels: close it, deduce
+        its one missing entry, or find a coincidence; with fill, define
+        cosets across a gap of two or more letters."""
+        nonlocal steps, rel
         f = b = c
+        # rep(c) * word[:i] = w^lf * rep(f) and
+        # rep(b) * word[j + 1:] = w^lb * rep(c)
+        lf = lb = 0
         i, j = 0, len(fw) - 1
         last = j
         try:
@@ -198,28 +260,37 @@ def enumerate_cosets(
                     x = fw[i][f]
                     if x < 0:
                         break
+                    lf += fl[i][f]
                     f = x
                     i += 1
                 if i > j:
                     if f != b:
-                        coincide(f, b)
+                        coincide(f, b, target - lb - lf)
+                    elif lf + lb != target:
+                        rel = gcd(rel, target - lb - lf)
                     return
                 while j >= i:
                     x = bw[j][b]
                     if x < 0:
                         break
+                    lb -= bl[j][b]
                     b = x
                     j -= 1
                 if j < i:
-                    coincide(f, b)
+                    coincide(f, b, target - lb - lf)
                     return
                 if i == j:
+                    h = target - lb - lf
+                    if rel:
+                        h %= rel
                     fw[i][f] = b
+                    fl[i][f] = h
                     bw[i][b] = f
+                    bl[i][b] = -h
                     return
                 if not fill or steps + i + last - j > step_limit:
                     return
-                f = define(f, fw[i], bw[i])
+                f = define(f, fw[i], bw[i], fl[i])
                 i += 1
         finally:
             # the letters passed: i and j passed each of them once, and
@@ -238,21 +309,21 @@ def enumerate_cosets(
         keep the old table alive through the compaction."""
         nonlocal steps
         try:
-            for fw, bw in subs:
-                scan(0, fw, bw, True)
+            for fw, bw, fl, bl in subs:
+                scan(0, fw, bw, fl, bl, 1, True)
             idx = 0
             while idx < len(parent):
                 if parent[idx] == idx:
-                    for fw, bw in rels:
-                        scan(idx, fw, bw, True)
+                    for fw, bw, fl, bl in rels:
+                        scan(idx, fw, bw, fl, bl, 0, True)
                         if steps > step_limit:
                             raise over_steps()
                         if parent[idx] != idx:
                             break
                     else:
-                        for col, inv in pairs:
+                        for col, inv, lab, _ in quads:
                             if col[idx] == -1:
-                                define(idx, col, inv)
+                                define(idx, col, inv, lab)
                                 steps += 1
                         if steps > step_limit:
                             raise over_steps()
@@ -265,8 +336,8 @@ def enumerate_cosets(
         # scan every live coset without defining, to find coincidences
         for c in range(len(parent)):
             if parent[c] == c:
-                for fw, bw in rels:
-                    scan(c, fw, bw, False)
+                for fw, bw, fl, bl in rels:
+                    scan(c, fw, bw, fl, bl, 0, False)
                     if steps > step_limit:
                         raise over_steps()
 
@@ -277,12 +348,13 @@ def enumerate_cosets(
         # Unbind first, so that each old column is freed once replaced.
         rels.clear()
         subs.clear()
-        pairs.clear()
+        quads.clear()
         # Renumber in place: parent[c] becomes the new number of c's
-        # live coset.  A dead coset's parent is smaller than it (merge
-        # keeps the smaller root), so it is renumbered before c is.
-        # The new numbers are made before anything is freed, so they do
-        # not land in the gaps the old table leaves and keep its memory.
+        # live coset, and plab[c] relates c to that coset.  A dead
+        # coset's parent is smaller than it (merge keeps the smaller
+        # root), so it is renumbered before c is.  The new numbers are
+        # made before anything is freed, so they do not land in the
+        # gaps the old table leaves and keep its memory.
         live = [c for c in range(len(parent)) if parent[c] == c]
         numbers = list(range(len(live)))
         k = 0
@@ -293,25 +365,32 @@ def enumerate_cosets(
                 k += 1
             else:
                 parent[c] = parent[p]
+                plab[c] += plab.get(p, 0)
         for l in range(ncols):
-            col = cols[l]
-            newcol = []
+            col, lab = cols[l], labs[l]
+            newcol, newlab = [], []
             for c in live:
                 v = col[c]
-                newcol.append(-1 if v == -1 else parent[v])
-            cols[l] = newcol
+                if v == -1:
+                    newcol.append(-1)
+                    newlab.append(0)
+                else:
+                    newcol.append(parent[v])
+                    newlab.append(lab[c] + plab.get(v, 0))
+            cols[l], labs[l] = newcol, newlab
         parent[:] = numbers
+        plab.clear()
         bind()
 
     bind()
     while not sweep():
         before = live_count()
         lookahead()
-        compact()
         # require real progress from the lookahead, or give up
-        if len(parent) > 0.9 * before:
+        if live_count() > 0.9 * before:
             raise EnumerationLimitError(
                 f"enumeration exceeded max_cosets={max_cosets}", before, steps)
+        compact()
 
     compact()
     count = len(parent)
@@ -320,13 +399,18 @@ def enumerate_cosets(
         subgroup_generators=tuple(free_reduce(w) for w in subgroup_gens),
         cols=cols,
         coset_count=count,
+        labels=labs,
+        subgroup_order=1,
     )
-    _validate(table, rel_words, sub_words)
+    table.subgroup_order = _validate(table, rel_words, sub_words)
     return table
 
 
-def _validate(table: CosetTable, rel_words, sub_words):
+def _validate(table: CosetTable, rel_words, sub_words) -> int:
     """Post hoc consistency check: complete, invertible, and closed.
+    Returns |H|: the gcd of the labels the relators close with at every
+    coset and of k - 1 for the label k of the subgroup generator at
+    coset 0 (1 without a generator, 0 if H is infinite).
 
     Runs on numpy copies of the columns: each relator letter is one
     gather over all cosets at once."""
@@ -334,35 +418,87 @@ def _validate(table: CosetTable, rel_words, sub_words):
     if any(len(col) != n for col in table.cols):
         raise RuntimeError("coset table is not complete")
     cols = np.array(table.cols, dtype=np.int64).reshape(len(table.cols), n)
+    labs = np.array(table.labels, dtype=np.int64).reshape(cols.shape)
     every = np.arange(n)
     for l, col in enumerate(cols):
         if col.min(initial=0) < 0 or col.max(initial=0) >= n:
             raise RuntimeError("coset table is not complete")
-        if (cols[l ^ 1][col] != every).any():
+        if ((cols[l ^ 1][col] != every).any()
+                or (labs[l ^ 1][col] != -labs[l]).any()):
             raise RuntimeError("coset table columns are not mutually inverse")
+    # Without a generator H is trivial; once the gcd is 1, labels no
+    # longer matter.
+    order = 0 if sub_words else 1
     for w in rel_words:
-        x = every
+        x, k = every, 0
         for l in w:
+            if order != 1:
+                k = k + labs[l][x]
             x = cols[l][x]
         if (x != every).any():
             raise RuntimeError("relator does not close on the final table")
+        order = gcd(order, *np.unique(k).tolist())
     for w in sub_words:
-        x = 0
+        x, k = 0, 0
         for l in w:
+            k += int(labs[l][x])
             x = cols[l][x]
         if x != 0:
             raise RuntimeError("subgroup generator does not fix coset 0")
+        order = gcd(order, k - 1)
+    return order
 
 
-def to_group(table: CosetTable):
-    """Concrete group from a coset table over the trivial subgroup.
+def to_group(table: CosetTable, max_cosets: int = DEFAULT_MAX_COSETS):
+    """Concrete group from a coset table of a cyclic subgroup H.
 
-    The table must have been enumerated with no subgroup generators, so
-    that cosets are exactly the group elements and the columns give the
-    right regular action.
+    The table is lifted to the right regular action, checked, and
+    standardized.  Raises EnumerationLimitError when H is infinite, and
+    when |H| times the index exceeds max_cosets, before the lifted
+    table is allocated.
     """
     from .core import ConcreteGroup
 
-    if table.subgroup_generators:
-        raise ValueError("table is not over the trivial subgroup")
-    return ConcreteGroup(table.cols, presentation=table.presentation)
+    pres = table.presentation
+    h, index = table.subgroup_order, table.coset_count
+    if h == 0:
+        raise EnumerationLimitError(
+            "the group is infinite: its subgroup generated by "
+            f"{table.subgroup_generators[0]} has infinite order", index, 0)
+    if h * index > max_cosets:
+        raise EnumerationLimitError(
+            f"the group has order {h * index}, which exceeds "
+            f"max_cosets={max_cosets}", index, 0)
+    cols = np.array(table.cols, dtype=np.int64).reshape(-1, index)
+    labs = np.array(table.labels, dtype=np.int64).reshape(cols.shape) % h
+    # (j, c) is element j * index + c
+    j = np.arange(h)[:, None]
+    lifted = ((j + labs[:, None, :]) % h * index
+              + cols[:, None, :]).reshape(len(cols), h * index)
+    _validate(CosetTable(pres, (), lifted, h * index, np.zeros_like(lifted), 1),
+              _letter_words(pres, pres.relators), [])
+    return ConcreteGroup(_standardize(lifted).tolist(), presentation=pres)
+
+
+def _standardize(cols: np.ndarray) -> np.ndarray:
+    """Renumber a table in breadth-first order from 0, taking each
+    element's neighbours in letter order; raises RuntimeError unless
+    every element is reached."""
+    n = cols.shape[1]
+    new = np.full(n, -1, dtype=np.int64)
+    new[0] = 0
+    count = 1
+    level = np.zeros(1, dtype=np.int64)
+    while level.size:
+        # the level's neighbours, element by element, letter by letter
+        reached = cols[:, level].T.ravel()
+        reached = reached[new[reached] < 0]
+        _, first = np.unique(reached, return_index=True)
+        level = reached[np.sort(first)]
+        new[level] = np.arange(count, count + level.size)
+        count += level.size
+    if count != n:
+        raise RuntimeError("coset table is not transitive")
+    out = np.empty_like(cols)
+    out[:, new] = new[cols]
+    return out

@@ -40,7 +40,7 @@ from .engel import (
     is_left_n_engel,
     is_n_engel_group,
 )
-from .presentation import PresentationError, parse_presentation
+from .presentation import PresentationError, parse_presentation, word
 from .subnormal import (
     DEFAULT_CAP,
     GENERALIZED_T2,
@@ -184,10 +184,12 @@ def class3_p_group_presentation(p: int) -> str:
 def build_group(text: str, name: str = "",
                 max_cosets: int = DEFAULT_MAX_COSETS,
                 max_steps: int | None = None) -> ConcreteGroup:
-    """Parse a presentation and realize it as a concrete group."""
+    """Parse a presentation and realize it as a concrete group, by coset
+    enumeration over the cyclic subgroup of the first generator."""
     pres = parse_presentation(text, max_syllables=max_cosets)
-    table = enumerate_cosets(pres, max_cosets=max_cosets, max_steps=max_steps)
-    group = to_group(table)
+    table = enumerate_cosets(pres, (word(pres.generators[0]),),
+                             max_cosets=max_cosets, max_steps=max_steps)
+    group = to_group(table, max_cosets)
     if name:
         group.meta["name"] = name
     return group

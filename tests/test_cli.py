@@ -168,10 +168,30 @@ def test_verify_examples_p7_gate():
 
 
 def test_verify_examples_p7_is_bounded_by_max_steps():
-    # class4-2group fits the bound; the order-117649 build does not.
-    out = run_cli("verify-examples", "--primes", "7", "--max-steps", "200000")
+    # class4-2group fits the bound (568 steps); the order-117649 build
+    # does not (299,824 steps).
+    out = run_cli("verify-examples", "--primes", "7", "--max-steps", "20000")
     assert (out.returncode, out.stdout) == (2, "")
     assert "max_steps" in out.stderr
+
+
+def test_infinite_groups_exit_with_limit_error(tmp_path):
+    # The infinite dihedral group: <a> is infinite of index 2, which the
+    # enumeration over <a> finds at once.
+    path = tmp_path / "dinf.txt"
+    path.write_text("gens: a, b; rels: b^2; (a*b)^2\n")
+    start = time.perf_counter()
+    out = run_cli("analyze", str(path))
+    # 0.2 s, most of it start-up; it was 4 s to the max_cosets limit
+    assert time.perf_counter() - start < 2
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith("error: the group is infinite")
+    # Z^2: <a> has infinite index, so max_cosets stops the enumeration.
+    path = tmp_path / "z2.txt"
+    path.write_text("gens: a, b; rels: [a,b]\n")
+    out = run_cli("analyze", str(path), "--max-cosets", "10000")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: enumeration exceeded max_cosets=10000\n"
 
 
 def test_verify_examples_bad_prime_list():
@@ -283,4 +303,4 @@ def test_check_theorems_json_report_bytes_are_pinned():
     out = run_cli("check-theorems", "--format", "json", "--seed", "1234")
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-        "2e8c9d145a0d27fb5cf60259fc8f7f626b2edbd011ae7b47e4a632ee62a69a58")
+        "f3a174de139e38373330aaac5abf976d71f0f6bd274c81ca173f7f0dcb497a53")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,8 @@ from baerkit.coset import (
 from baerkit.presentation import parse_presentation, parse_word
 from baerkit.verify import (
     alternating4_presentation,
+    build_class3_p_group,
+    build_group,
     class3_p_group_presentation,
     class4_2group_presentation,
     cyclic_presentation,
@@ -65,21 +68,37 @@ def test_table_columns_are_permutations():
         assert sorted(col) == list(range(n))
 
 
-def test_to_group_rejects_subgroup_tables():
+def test_to_group_lifts_cyclic_subgroup_tables():
     pres = parse_presentation(symmetric_presentation(3))
-    table = enumerate_cosets(pres, subgroup_gens=(parse_word("a", pres.generators),))
+    for gen, order in (("a", 3), ("b", 2)):
+        table = enumerate_cosets(
+            pres, subgroup_gens=(parse_word(gen, pres.generators),))
+        assert table.subgroup_order == order
+        assert to_group(table).cols == to_group(enumerate_cosets(pres)).cols
+    # labels are exponents of one generator: H must be cyclic
     with pytest.raises(ValueError):
-        to_group(table)
+        enumerate_cosets(pres, subgroup_gens=tuple(
+            parse_word(g, pres.generators) for g in ("a", "b")))
 
 
 def test_group_multiplication_agrees_with_table_action():
     pres = parse_presentation(dihedral_presentation(12))
     table = enumerate_cosets(pres)
     group = to_group(table)
+    # element[c]: the element that coset c became, found by walking the
+    # table and the group's columns side by side from coset 0
+    element = {0: 0}
+    queue = [0]
+    for c in queue:
+        for l, col in enumerate(table.cols):
+            if col[c] not in element:
+                element[col[c]] = group.cols[l][element[c]]
+                queue.append(col[c])
+    assert sorted(element.values()) == list(range(group.size))
     for i in range(len(pres.generators)):
         g = group.gen_element(i)
-        for e in range(group.size):
-            assert group.mult(e, g) == table.cols[2 * i][e]
+        for c in range(table.coset_count):
+            assert group.mult(element[c], g) == element[table.cols[2 * i][c]]
 
 
 def test_every_relator_acts_trivially():
@@ -152,15 +171,16 @@ P3_DIGEST = "31ec3d9695d71ac11850dc48af4a636e9254b712ed4d2b6cc501d7a6d1541cba"
      "cc94e14dde7794f0f39142a1670637b73f9a8fb6eede763e785be1cbb3b9dbbd"),
 ])
 def test_tables_are_pinned(text, max_cosets, digest):
-    # Element numbering reaches every report, so the definition order
-    # is part of the output.
+    # The definition order of the enumeration is pinned.  It no longer
+    # reaches reports (to_group standardizes), but it keeps the trivial-
+    # subgroup tables, the oracle for the lift, fixed.
     table = enumerate_cosets(parse_presentation(text), max_cosets=max_cosets)
     assert _cols_digest(table.cols) == digest
 
 
 def test_class3_p5_table_is_pinned(class3_p5):
     assert _cols_digest(class3_p5.cols) == (
-        "4a8d0a2e649fb09c9ae1eaed00a0f7c9ae83cfcba73503ede6b62c035a6cdbd9")
+        "0e5fb76064b5ef4a690ce8d9ff87fad9cdf0b5e829067de8c06ababeed6478b6")
 
 
 def _table_and_words(text, subgroup=()):
@@ -212,3 +232,55 @@ def test_validate_rejects_corrupted_tables(kind, message):
     with pytest.raises(RuntimeError) as info:
         _validate(*_corrupt_table(kind))
     assert str(info.value) == message
+
+
+def _hlt_group(pres):
+    # the oracle: the full table over the trivial subgroup, standardized
+    return to_group(enumerate_cosets(pres))
+
+
+def test_lifted_corpus_groups_equal_the_standardized_hlt_tables(
+        corpus_groups):
+    for name, group in corpus_groups:
+        for part in group.meta.get("factors", (group,)):
+            assert part.cols == _hlt_group(part.presentation).cols, name
+
+
+@pytest.mark.parametrize("text", [
+    dihedral_presentation(80),
+    "gens: a, b; rels: a^151; b^10; b^-1*a*b = a^87",
+    "gens: a, b; rels: a^90; b^9; [a,b]",
+    "gens: x, y; rels: x^9; y^27; [x,y]^3; [x,y,x]; [x,y,y]",
+])
+def test_lifted_mixed_kinds_equal_the_standardized_hlt_tables(text):
+    group = build_group(text)
+    assert group.cols == _hlt_group(parse_presentation(text)).cols
+
+
+def test_class3_p7_builds_within_its_own_order_of_cosets():
+    # HLT over the trivial subgroup would need 2,000,000 cosets and a
+    # lookahead pass; over <x> the limit only has to hold |G| itself.
+    group = build_class3_p_group(7, max_cosets=117_649)
+    assert group.size == 117_649
+    with pytest.raises(EnumerationLimitError,
+                       match="order 117649.*max_cosets=117648"):
+        build_class3_p_group(7, max_cosets=117_648)
+    # The refusal comes before the lifted table (four columns of 117,649
+    # 8-byte entries, 3.8 MB) is allocated.
+    pres = group.presentation
+    table = enumerate_cosets(pres, (parse_word("x", pres.generators),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationLimitError):
+            to_group(table, max_cosets=117_648)
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_infinite_subgroup_gives_order_zero_and_no_group():
+    pres = parse_presentation("gens: a, b; rels: b^2; (a*b)^2")
+    table = enumerate_cosets(pres, (parse_word("a", pres.generators),))
+    assert (table.coset_count, table.subgroup_order) == (2, 0)
+    with pytest.raises(EnumerationLimitError, match="infinite"):
+        to_group(table)
