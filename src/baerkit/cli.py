@@ -17,7 +17,7 @@ import sys
 from .core import GroupError
 from .coset import DEFAULT_MAX_COSETS, EnumerationLimitError
 from .presentation import PresentationError, WordLimitError, parse_word
-from .subnormal import DEFAULT_CAP, classify, cyclic_defect
+from .subnormal import classify, cyclic_defect
 from .verify import (
     DEFAULT_EXHAUSTIVE_THRESHOLD,
     build_group,
@@ -74,8 +74,6 @@ def _make_parser() -> _Parser:
                         metavar="N",
                         help="steps (letters scanned and cosets defined) "
                              "one enumeration may take (default: unbounded)")
-    common.add_argument("--defect-cap", type=_positive, default=DEFAULT_CAP,
-                        metavar="N", help="longest subnormal chain searched")
     common.add_argument("--exhaustive-threshold", type=_positive,
                         default=DEFAULT_EXHAUSTIVE_THRESHOLD, metavar="N",
                         help="largest group order checked element by element "
@@ -123,8 +121,7 @@ def _make_parser() -> _Parser:
 
 
 def _config_dict(args) -> dict:
-    return suite_config(args.seed, args.max_cosets, args.defect_cap,
-                        args.exhaustive_threshold)
+    return suite_config(args.seed, args.max_cosets, args.exhaustive_threshold)
 
 
 def _print_json(obj) -> None:
@@ -140,7 +137,7 @@ def _build_from_file(path: str, args):
 
 def cmd_analyze(args) -> int:
     group = _build_from_file(args.path, args)
-    report = classify(group, cap=args.defect_cap)
+    report = classify(group)
     d = report.to_json_dict()
     if args.format == "json":
         _print_json({"config": _config_dict(args),
@@ -156,8 +153,7 @@ def cmd_defect(args) -> int:
     group = _build_from_file(args.path, args)
     w = parse_word(args.word, group.gen_names, args.max_cosets)
     e = group.word_to_element(w)
-    cap = max(args.defect_cap, args.n)
-    res = cyclic_defect(group, e, cap=cap)
+    res = cyclic_defect(group, e)
     ok = res.within(args.n)
     if args.format == "json":
         _print_json({
@@ -165,8 +161,6 @@ def cmd_defect(args) -> int:
             "defect": {
                 "word": args.word,
                 "defect": res.defect,
-                "cap": res.cap,
-                "stabilized": res.stabilized,
                 "n": args.n,
                 "n_subnormal": ok,
             },
@@ -190,7 +184,6 @@ def _render_suite_text(report: dict) -> str:
     limits = cfg["limits"]
     lines = [
         f"seed={cfg['seed']} max_cosets={limits['max_cosets']} "
-        f"defect_cap={limits['defect_cap']} "
         f"exhaustive_threshold={limits['exhaustive_threshold']}"
     ]
     npass = nfail = nskip = 0
@@ -226,7 +219,6 @@ def _render_suite_text(report: dict) -> str:
 def cmd_verify_examples(args) -> int:
     report = run_example_checks(
         args.primes, seed=args.seed, max_cosets=args.max_cosets,
-        defect_cap=args.defect_cap,
         exhaustive_threshold=args.exhaustive_threshold,
         max_steps=args.max_steps)
     if args.format == "json":
@@ -244,7 +236,6 @@ def cmd_check_theorems(args) -> int:
                                        max_cosets=args.max_cosets)
     report = run_full_suite(
         corpus, seed=args.seed, max_cosets=args.max_cosets,
-        defect_cap=args.defect_cap,
         exhaustive_threshold=args.exhaustive_threshold,
         max_steps=args.max_steps)
     if args.format == "json":

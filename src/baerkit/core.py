@@ -109,9 +109,10 @@ class ConcreteGroup:
         self._derived: dict[frozenset, Subgroup] = {}  # derived_subgroup
         self._frattini: dict[int, Subgroup] = {}  # frattini_p_group, by p
         self._cyclic_defects: dict = {}  # subnormal.cyclic_defect, by <x>
-        self._defect_scans: dict = {}  # subnormal._defect_scan, by cap
-        self._reports: dict = {}  # subnormal.classify, by cap
         self._left_engel: dict = {}  # engel._is_left_engel, by class rep
+        # Results computed once per group, each by the function named.
+        self._defect_scan: list | None = None  # subnormal._defect_scan
+        self._report = None  # subnormal.classify
 
     # -- construction internals -------------------------------------------
 
@@ -442,14 +443,15 @@ class _ClosureBuilder:
     This is Dimino's algorithm.  The closed subgroup H is kept as a list
     of its elements, with membership marked in a bytearray.  Generators
     already inside H are dropped, which keeps generating lists short (at
-    most log2 of the subgroup order additions).  The first generator is closed by powering.  Adjoining a
-    later generator grows H to <H, g> by whole right cosets: the list
-    holds H and then each new coset H*t, stored contiguously and led by
-    its representative t.  For every representative r and every generator
-    s, only the single element t = r*s is walked; if t is unmarked, the
-    coset H*t is added as (H*r)*s by walking s over the stored coset H*r.
-    The closure is complete once the representatives are closed under
-    every generator.  Generators are walked as lists of letter columns.
+    most log2 of the subgroup order additions).  The first generator is
+    closed by powering.  Adjoining a later generator grows H to <H, g> by
+    whole right cosets: the list holds H and then each new coset H*t,
+    stored contiguously and led by its representative t.  For every
+    representative r and every generator s, only the single element
+    t = r*s is walked; if t is unmarked, the coset H*t is added as
+    (H*r)*s by walking s over the stored coset H*r.  The closure is
+    complete once the representatives are closed under every generator.
+    Generators are walked as lists of letter columns.
     """
 
     def __init__(self, group: ConcreteGroup):

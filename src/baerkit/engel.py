@@ -48,6 +48,9 @@ __all__ = [
 
 _EXHAUSTIVE_EVALS = 20_000
 
+# Largest group order on which check_expansion_formula tries every pair.
+EXPANSION_EXHAUSTIVE_ORDER = 64
+
 
 def _inputs(rng: random.Random, pools, trials: int,
             limit: int) -> tuple[list[tuple], str]:
@@ -334,7 +337,7 @@ def check_expansion_formula(
     n_values: tuple[int, ...] = (1, 2, 3, 4, 5, 6),
     trials: int = 200,
     seed: int = 0,
-    exhaustive_order_bound: int = 64,
+    exhaustive_order_bound: int = EXPANSION_EXHAUSTIVE_ORDER,
 ) -> list[IdentityCheck]:
     """The metabelian power expansion of (x*y^-1)^n, one check per n.
 

@@ -18,6 +18,7 @@ generator of it was picked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .core import (
     ConcreteGroup,
@@ -31,7 +32,6 @@ from .core import (
 )
 
 __all__ = [
-    "DEFAULT_CAP",
     "SMALL_GROUP_BOUND",
     "DefectResult",
     "defect",
@@ -48,7 +48,6 @@ __all__ = [
     "NOT_GENERALIZED_BAER2",
 ]
 
-DEFAULT_CAP = 8
 SMALL_GROUP_BOUND = 48
 
 TWO_BAER = "TwoBaer"
@@ -58,16 +57,9 @@ NOT_GENERALIZED_BAER2 = "NotGeneralizedBaer2"
 
 @dataclass(frozen=True)
 class DefectResult:
-    """Either a definite defect or the report that no chain fits the cap.
-
-    cap is the search depth that produced a None defect; stabilized
-    tells whether the closure series provably stopped descending (so no
-    cap would ever help).  For definite defects cap is irrelevant.
-    """
+    """A definite defect, or None when h is not subnormal at all."""
 
     defect: int | None
-    cap: int | None = None
-    stabilized: bool = False
 
     @property
     def is_subnormal(self) -> bool:
@@ -79,83 +71,70 @@ class DefectResult:
     def __str__(self) -> str:
         if self.defect is not None:
             return f"defect {self.defect}"
-        if self.stabilized:
-            return "not subnormal"
-        return f"no chain within {self.cap}"
+        return "not subnormal"
 
 
-def defect(h: Subgroup, ambient, cap: int = DEFAULT_CAP) -> DefectResult:
+def defect(h: Subgroup, ambient) -> DefectResult:
     """Defect of h in the ambient group or subgroup via the iterated
-    normal closure series.  Defect 0 means h is the whole ambient."""
+    normal closure series.  Defect 0 means h is the whole ambient.
+
+    Each closure either reaches h, equals the term before it (the series
+    stops strictly above h, so h is not subnormal), or is a proper
+    subgroup of that term still containing h, whose index over h is a
+    proper divisor of the term's.  So the loop ends after at most
+    Omega(|K:h|) closures, where K is the ambient and Omega counts prime
+    factors with multiplicity; that is at most log2 |K:h|."""
     amb = _as_subgroup(ambient)
     if h.group is not amb.group:
         raise GroupError("subgroup and ambient belong to different groups")
     if not h.elemset <= amb.elemset:
         raise GroupError("subgroup is not contained in the ambient")
-    if cap < 0:
-        raise GroupError("cap must be nonnegative")
     if h.elemset == amb.elemset:
         return DefectResult(0)
     current = amb
-    for d in range(1, cap + 1):
+    for d in count(1):
         nxt = normal_closure(h.gens, current)
         if nxt.elemset == h.elemset:
             return DefectResult(d)
         if nxt.size == current.size:
-            return DefectResult(None, cap=cap, stabilized=True)
+            return DefectResult(None)
         current = nxt
-    return DefectResult(None, cap=cap, stabilized=False)
 
 
-def cyclic_defect(group: ConcreteGroup, x: int, cap: int = DEFAULT_CAP) -> DefectResult:
-    """Defect of <x> in the whole group, cached by the cyclic subgroup.
-
-    Definite defects and provably stabilized outcomes are reused for any
-    cap; a cap-truncated outcome is only reused for caps it covers."""
+def cyclic_defect(group: ConcreteGroup, x: int) -> DefectResult:
+    """Defect of <x> in the whole group, cached by the cyclic subgroup."""
     sub = Subgroup.generated(group, [x])
     got = group._cyclic_defects.get(sub.elemset)
-    if got is not None:
-        if got.defect is not None or got.stabilized or (got.cap or 0) >= cap:
-            return got
-    got = defect(sub, group, cap=cap)
-    group._cyclic_defects[sub.elemset] = got
+    if got is None:
+        got = defect(sub, group)
+        group._cyclic_defects[sub.elemset] = got
     return got
 
 
-def is_n_subnormal(group: ConcreteGroup, x: int, n: int, cap: int | None = None) -> bool:
+def is_n_subnormal(group: ConcreteGroup, x: int, n: int) -> bool:
     """Whether <x> has defect at most n in the group."""
-    res = cyclic_defect(group, x, cap=max(n, cap if cap is not None else DEFAULT_CAP))
-    return res.within(n)
+    return cyclic_defect(group, x).within(n)
 
 
-def _defect_scan(group: ConcreteGroup, cap: int) -> list[tuple[int, int, DefectResult]]:
+def _defect_scan(group: ConcreteGroup) -> list[tuple[int, int, DefectResult]]:
     """(class representative, class size, defect of <rep>) per class.
 
     Representatives cover every element up to conjugacy and defects are
     conjugation invariant, so this scan determines T_n membership and
     per-element defect statistics for the entire group."""
-    got = group._defect_scans.get(cap)
-    if got is None:
-        got = []
-        for cl in group.conjugacy_classes():
-            rep = cl[0]
-            got.append((rep, len(cl), cyclic_defect(group, rep, cap=cap)))
-        group._defect_scans[cap] = got
-    return got
+    if group._defect_scan is None:
+        group._defect_scan = [(cl[0], len(cl), cyclic_defect(group, cl[0]))
+                              for cl in group.conjugacy_classes()]
+    return group._defect_scan
 
 
-def t_n_subgroup(group: ConcreteGroup, n: int, cap: int = DEFAULT_CAP) -> Subgroup:
-    """The subgroup generated by all x with <x> not n-subnormal.
-
-    An outcome that found no chain within the cap counts as not
-    n-subnormal; classify() reports how often that happened so a too-low
-    cap is visible rather than silent."""
-    scan = _defect_scan(group, max(cap, n))
-    bad = [rep for rep, _, res in scan if not res.within(n)]
+def t_n_subgroup(group: ConcreteGroup, n: int) -> Subgroup:
+    """The subgroup generated by all x with <x> not n-subnormal."""
+    bad = [rep for rep, _, res in _defect_scan(group) if not res.within(n)]
     return normal_closure(bad, group)
 
 
-def t_n_within(ambient: Subgroup, n: int, cap: int = DEFAULT_CAP) -> Subgroup:
+def t_n_within(ambient: Subgroup, n: int) -> Subgroup:
     """T_n of a subgroup, computed inside the parent group's indices.
 
     One generator per distinct cyclic subgroup of the ambient is enough,
@@ -165,7 +144,7 @@ def t_n_within(ambient: Subgroup, n: int, cap: int = DEFAULT_CAP) -> Subgroup:
     of a bad element land inside the generated subgroup anyway."""
     group = ambient.group
     if ambient.is_whole():
-        return t_n_subgroup(group, n, cap=cap)
+        return t_n_subgroup(group, n)
     seen: set[int] = set()
     bad: list[int] = []
     for h in ambient.elements:
@@ -173,7 +152,7 @@ def t_n_within(ambient: Subgroup, n: int, cap: int = DEFAULT_CAP) -> Subgroup:
             continue
         cyc = Subgroup.generated(group, [h])
         seen |= cyc.elemset
-        if not defect(cyc, ambient, cap=max(cap, n)).within(n):
+        if not defect(cyc, ambient).within(n):
             bad.append(h)
     return normal_closure(bad, ambient)
 
@@ -233,7 +212,7 @@ def brute_force_defect(h: Subgroup, group: ConcreteGroup,
                     dist[l.elemset] = d
                     nxt.append(l)
         frontier = nxt
-    return DefectResult(None, cap=None, stabilized=True)
+    return DefectResult(None)
 
 
 @dataclass
@@ -248,8 +227,6 @@ class ClassificationReport:
     t2_generators: list[str]
     classification: str
     defect_histogram: dict[str, int]
-    cap: int
-    capped_classes: int
     strict_reading_disagreements: int
     t2: Subgroup = field(repr=False, compare=False)
     strict_reading_samples: list[str] = field(default_factory=list)
@@ -263,8 +240,6 @@ class ClassificationReport:
             "t2_generators": list(self.t2_generators),
             "classification": self.classification,
             "defect_histogram": dict(sorted(self.defect_histogram.items())),
-            "defect_cap": self.cap,
-            "capped_classes": self.capped_classes,
             "strict_reading_disagreements": self.strict_reading_disagreements,
         }
 
@@ -294,7 +269,7 @@ def _quotient_is_simple(group: ConcreteGroup, h: Subgroup) -> bool:
     return True
 
 
-def classify(group: ConcreteGroup, cap: int = DEFAULT_CAP) -> ClassificationReport:
+def classify(group: ConcreteGroup) -> ClassificationReport:
     """Order, series data, T_2, and the three-way classification.
 
     Also surfaces, per a stricter reading of "n-subnormal" that demands
@@ -303,23 +278,14 @@ def classify(group: ConcreteGroup, cap: int = DEFAULT_CAP) -> ClassificationRepo
     where the quotient by the cyclic subgroup is simple (no strictly
     intermediate normal term exists).  Defects equal to 2 always admit a
     strict chain, so nothing else can differ at n = 2."""
-    cached = group._reports.get(cap)
-    if cached is not None:
-        return cached
-    scan = _defect_scan(group, cap)
-    t2 = t_n_subgroup(group, 2, cap=cap)
+    if group._report is not None:
+        return group._report
+    t2 = t_n_subgroup(group, 2)
     hist: dict[str, int] = {}
-    capped = 0
     disagree = 0
     samples: list[str] = []
-    for rep, size, res in scan:
-        if res.defect is not None:
-            key = str(res.defect)
-        elif res.stabilized:
-            key = "none"
-        else:
-            key = f">{res.cap}"
-            capped += 1
+    for rep, size, res in _defect_scan(group):
+        key = "none" if res.defect is None else str(res.defect)
         hist[key] = hist.get(key, 0) + size
         if res.defect == 0 or (
             res.defect == 1
@@ -343,11 +309,9 @@ def classify(group: ConcreteGroup, cap: int = DEFAULT_CAP) -> ClassificationRepo
         t2_generators=[str(group.element_word(g)) for g in t2.gens],
         classification=cls,
         defect_histogram=hist,
-        cap=cap,
-        capped_classes=capped,
         strict_reading_disagreements=disagree,
         t2=t2,
         strict_reading_samples=samples,
     )
-    group._reports[cap] = report
+    group._report = report
     return report

@@ -34,6 +34,7 @@ from .core import (
 )
 from .coset import DEFAULT_MAX_COSETS, enumerate_cosets, to_group
 from .engel import (
+    EXPANSION_EXHAUSTIVE_ORDER,
     _inputs,
     check_expansion_formula,
     check_metabelian_identities,
@@ -42,7 +43,6 @@ from .engel import (
 )
 from .presentation import PresentationError, parse_presentation, word
 from .subnormal import (
-    DEFAULT_CAP,
     GENERALIZED_T2,
     NOT_GENERALIZED_BAER2,
     TWO_BAER,
@@ -264,15 +264,14 @@ def frattini_coordinates(group: ConcreteGroup, g: int) -> tuple[int, int]:
 # a TheoremCheck.
 # ---------------------------------------------------------------------------
 
-def check_expected_invariants(group: ConcreteGroup, *,
-                              cap: int = DEFAULT_CAP) -> TheoremCheck:
+def check_expected_invariants(group: ConcreteGroup) -> TheoremCheck:
     """Compare the computed order, class, derived length, T_2 order and
     classification against the invariants the construction promises."""
     cid = "expected-invariants"
     expected = group.meta.get("expected")
     if not expected:
         return _skip(cid, "group carries no expected invariants")
-    report = classify(group, cap=cap)
+    report = classify(group)
     got = {
         "order": report.order,
         "class": report.nilpotency_class,
@@ -289,7 +288,7 @@ def check_expected_invariants(group: ConcreteGroup, *,
 
 
 def check_congruence_subnormality(
-        group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
+        group: ConcreteGroup, *,
         exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
         seed: int = 0) -> TheoremCheck:
     """On the class-3 family: <g> is 2-subnormal exactly when the congruence
@@ -322,7 +321,7 @@ def check_congruence_subnormality(
     for g in todo:
         m, n = frattini_coordinates(group, g)
         predicted = two_subnormal_congruence(p, m, n)
-        actual = is_n_subnormal(group, g, 2, cap=cap)
+        actual = is_n_subnormal(group, g, 2)
         if predicted != actual:
             details = {"mode": mode, "coordinates": [m, n],
                        "predicted": predicted, "actual": actual}
@@ -351,8 +350,7 @@ def check_congruence_subnormality(
     return _verdict(cid, True, details)
 
 
-def check_frattini_t2_structure(group: ConcreteGroup, *,
-                                cap: int = DEFAULT_CAP) -> TheoremCheck:
+def check_frattini_t2_structure(group: ConcreteGroup) -> TheoremCheck:
     """On the class-3 family: the Frattini subgroup, derived subgroup and
     T_2 have the advertised orders and generating sets, and x y^(p-1) lies
     outside the Frattini subgroup while its p-th power falls inside."""
@@ -384,7 +382,7 @@ def check_frattini_t2_structure(group: ConcreteGroup, *,
     if not der.elemset <= z2.elemset:
         failures.append("derived subgroup not inside second center")
 
-    t2 = classify(group, cap=cap).t2
+    t2 = classify(group).t2
     w = group.mult(x, group.power(y, p - 1))
     expect_t2 = Subgroup.generated(group, [w, xp, yp, c])
     if expect_t2.elemset != t2.elemset:
@@ -409,13 +407,13 @@ def check_frattini_t2_structure(group: ConcreteGroup, *,
 
 
 def check_cyclic_closure_class(
-        group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
+        group: ConcreteGroup, *,
         exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
         seed: int = 0) -> TheoremCheck:
     """When T_2 is proper, every element outside it generates a normal
     closure of class at most 2 and is a left 3-Engel element."""
     cid = "cyclic-closure-class"
-    t2 = classify(group, cap=cap).t2
+    t2 = classify(group).t2
     if t2.is_whole():
         return _skip(cid, "T_2 is the whole group; no elements lie outside it",
                      t2_order=t2.size)
@@ -447,13 +445,13 @@ def check_cyclic_closure_class(
 
 
 def check_generated_subgroup_class(
-        group: ConcreteGroup, *, cap: int = DEFAULT_CAP, seed: int = 0,
+        group: ConcreteGroup, *, seed: int = 0,
         exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD) -> TheoremCheck:
     """When T_2 is proper, every subgroup generated by d = 1, 2, 3 elements
     is nilpotent of class at most 2(d + 1).  Each d checks every generator
     tuple when there are at most `exhaustive_threshold` of them."""
     cid = "generated-subgroup-class"
-    t2 = classify(group, cap=cap).t2
+    t2 = classify(group).t2
     if t2.is_whole():
         return _skip(cid, "T_2 is the whole group; no elements lie outside it",
                      t2_order=t2.size)
@@ -496,10 +494,9 @@ def check_expansion(group: ConcreteGroup, *, seed: int = 0) -> TheoremCheck:
     cid = "expansion-formula"
     if not is_metabelian(group):
         return _skip(cid, "group is not metabelian")
-    small = group.size <= 64
+    small = group.size <= EXPANSION_EXHAUSTIVE_ORDER
     n_values = (1, 2, 3, 4, 5, 6) if small else (1, 2, 3, 4, 5, 6, 7, 8)
-    results = check_expansion_formula(
-        group, n_values=n_values, seed=seed, exhaustive_order_bound=64)
+    results = check_expansion_formula(group, n_values=n_values, seed=seed)
     details = {
         "n_values": list(n_values),
         "mode": results[0].mode if results else "exhaustive",
@@ -518,8 +515,7 @@ def _identities_verdict(cid: str, results, details: dict) -> TheoremCheck:
     return _verdict(cid, False, details, witness=failed[0].witness)
 
 
-def check_odd_p_metabelian_class(group: ConcreteGroup, *,
-                                 cap: int = DEFAULT_CAP) -> TheoremCheck:
+def check_odd_p_metabelian_class(group: ConcreteGroup) -> TheoremCheck:
     """Metabelian p-groups with proper nontrivial T_2 have class exactly 3
     when p is odd; for p = 2 the class bound genuinely fails, so the check
     records the observed class instead."""
@@ -529,7 +525,7 @@ def check_odd_p_metabelian_class(group: ConcreteGroup, *,
         return _skip(cid, "group is not a p-group")
     if not is_metabelian(group):
         return _skip(cid, "group is not metabelian")
-    report = classify(group, cap=cap)
+    report = classify(group)
     if report.classification != GENERALIZED_T2:
         return _skip(cid, "T_2 is trivial or the whole group",
                      classification=report.classification)
@@ -544,7 +540,7 @@ def check_odd_p_metabelian_class(group: ConcreteGroup, *,
     return _verdict(cid, cls == 3 and engel.holds, details)
 
 
-def check_solubility_and_engel(group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
+def check_solubility_and_engel(group: ConcreteGroup, *,
                                seed: int = 0) -> TheoremCheck:
     """p-groups with proper T_2 are soluble 6-Engel groups whose 2-generator
     subgroups have class at most 6 and 5-generator subgroups class at most 12."""
@@ -552,7 +548,7 @@ def check_solubility_and_engel(group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
     facs = factorize(group.size) if group.size > 1 else {}
     if len(facs) != 1:
         return _skip(cid, "group is not a p-group")
-    t2 = classify(group, cap=cap).t2
+    t2 = classify(group).t2
     if t2.is_whole():
         return _skip(cid, "T_2 is the whole group; the claim needs it proper")
     failures = []
@@ -580,36 +576,35 @@ def check_solubility_and_engel(group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
     return _verdict(cid, not failures, details)
 
 
-def check_quotient_two_baer(group: ConcreteGroup, *,
-                            cap: int = DEFAULT_CAP) -> TheoremCheck:
+def check_quotient_two_baer(group: ConcreteGroup) -> TheoremCheck:
     """The quotient by T_2 has trivial T_2 of its own: factoring out the
     2-subnormal part leaves nothing 2-subnormal behind."""
     cid = "quotient-two-baer"
-    t2 = classify(group, cap=cap).t2
+    t2 = classify(group).t2
     if t2.is_whole():
         return _skip(cid, "T_2 is the whole group; quotient is trivial")
     if t2.size == 1:
         return _skip(cid, "T_2 is trivial; the quotient is the group itself")
     q = quotient(group, t2)
-    report = classify(q, cap=cap)
+    report = classify(q)
     details = {"quotient_order": q.size, "quotient_t2_order": report.t2_order,
                "quotient_classification": report.classification}
     return _verdict(cid, report.t2_order == 1, details)
 
 
-def check_subgroup_inheritance(group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
+def check_subgroup_inheritance(group: ConcreteGroup, *,
                                seed: int = 0) -> TheoremCheck:
     """T_2 measured inside a subgroup H lands inside T_2(G) intersected
     with H."""
     cid = "subgroup-t2-inheritance"
-    t2g = classify(group, cap=cap).t2
+    t2g = classify(group).t2
     rng = random.Random(seed)
     checked = 0
     for i in range(_INHERITANCE_TRIALS):
         d = 1 + (i % 2)
         gens = [rng.randrange(group.size) for _ in range(d)]
         sub = Subgroup.generated(group, gens)
-        t2h = t_n_within(sub, 2, cap=cap)
+        t2h = t_n_within(sub, 2)
         if not (t2h.elemset <= t2g.elemset and t2h.elemset <= sub.elemset):
             words = ", ".join(str(group.element_word(g)) for g in gens)
             return _verdict(cid, False,
@@ -621,7 +616,6 @@ def check_subgroup_inheritance(group: ConcreteGroup, *, cap: int = DEFAULT_CAP,
 
 
 def check_product_decomposition(h: ConcreteGroup, k: ConcreteGroup, *,
-                                cap: int = DEFAULT_CAP,
                                 product: ConcreteGroup | None = None) -> TheoremCheck:
     """T_2 of a direct product H x K, with K a 2-Baer group of order coprime
     to the prime of H, is sandwiched between T_2(H) x 1 and T_2(H) x K.
@@ -636,17 +630,17 @@ def check_product_decomposition(h: ConcreteGroup, k: ConcreteGroup, *,
     p = next(iter(hfacs))
     if k.size % p == 0:
         return _skip(cid, "factor orders are not coprime")
-    kreport = classify(k, cap=cap)
+    kreport = classify(k)
     if kreport.t2_order != 1:
         return _skip(cid, "right factor is not a 2-Baer group")
-    hreport = classify(h, cap=cap)
+    hreport = classify(h)
     if hreport.classification == NOT_GENERALIZED_BAER2:
         return _skip(cid, "left factor has no proper T_2")
 
     g = product if product is not None else direct_product(h, k)
     m = k.size
     embed_left = g.meta["embed_left"]
-    greport = classify(g, cap=cap)
+    greport = classify(g)
     t2h, t2g = hreport.t2, greport.t2
     lower = {embed_left[a] for a in t2h.elements}
     upper = {a * m + b for a in t2h.elements for b in range(k.size)}
@@ -754,62 +748,56 @@ def _derived_seed(seed: int, group_name: str, check_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _product_check(group: ConcreteGroup, cap: int, threshold: int,
+def _product_check(group: ConcreteGroup, threshold: int,
                    seed: int) -> TheoremCheck | None:
     if "factors" not in group.meta:
         return None
-    return check_product_decomposition(*group.meta["factors"], cap=cap,
-                                       product=group)
+    return check_product_decomposition(*group.meta["factors"], product=group)
 
 
-# The suite as (check id, call(group, cap, threshold, seed)) in running
-# order; reports list the checks sorted by id.  The seed is derived from
-# the run's seed, the group name and the check id; a call returns None
-# where its check does not apply to the group.  The calls look their check
+# The suite as (check id, call(group, threshold, seed)) in running order;
+# reports list the checks sorted by id.  The seed is derived from the
+# run's seed, the group name and the check id; a call returns None where
+# its check does not apply to the group.  The calls look their check
 # functions up by name when they run, so a wrapped or patched module
 # function is the one called.
 _SUITE_CHECKS = (
     ("expected-invariants",
-     lambda g, cap, threshold, seed: check_expected_invariants(g, cap=cap)),
+     lambda g, threshold, seed: check_expected_invariants(g)),
     ("congruence-subnormality",
-     lambda g, cap, threshold, seed: check_congruence_subnormality(
-         g, cap=cap, exhaustive_threshold=threshold, seed=seed)),
+     lambda g, threshold, seed: check_congruence_subnormality(
+         g, exhaustive_threshold=threshold, seed=seed)),
     ("frattini-t2-structure",
-     lambda g, cap, threshold, seed: check_frattini_t2_structure(g, cap=cap)),
+     lambda g, threshold, seed: check_frattini_t2_structure(g)),
     ("cyclic-closure-class",
-     lambda g, cap, threshold, seed: check_cyclic_closure_class(
-         g, cap=cap, exhaustive_threshold=threshold, seed=seed)),
+     lambda g, threshold, seed: check_cyclic_closure_class(
+         g, exhaustive_threshold=threshold, seed=seed)),
     ("generated-subgroup-class",
-     lambda g, cap, threshold, seed: check_generated_subgroup_class(
-         g, cap=cap, seed=seed, exhaustive_threshold=threshold)),
+     lambda g, threshold, seed: check_generated_subgroup_class(
+         g, seed=seed, exhaustive_threshold=threshold)),
     ("metabelian-identities",
-     lambda g, cap, threshold, seed: check_metabelian_identity_suite(
-         g, seed=seed)),
+     lambda g, threshold, seed: check_metabelian_identity_suite(g, seed=seed)),
     ("expansion-formula",
-     lambda g, cap, threshold, seed: check_expansion(g, seed=seed)),
+     lambda g, threshold, seed: check_expansion(g, seed=seed)),
     ("odd-p-class-three",
-     lambda g, cap, threshold, seed: check_odd_p_metabelian_class(
-         g, cap=cap)),
+     lambda g, threshold, seed: check_odd_p_metabelian_class(g)),
     ("solubility-and-engel",
-     lambda g, cap, threshold, seed: check_solubility_and_engel(
-         g, cap=cap, seed=seed)),
+     lambda g, threshold, seed: check_solubility_and_engel(g, seed=seed)),
     ("quotient-two-baer",
-     lambda g, cap, threshold, seed: check_quotient_two_baer(g, cap=cap)),
+     lambda g, threshold, seed: check_quotient_two_baer(g)),
     ("subgroup-t2-inheritance",
-     lambda g, cap, threshold, seed: check_subgroup_inheritance(
-         g, cap=cap, seed=seed)),
+     lambda g, threshold, seed: check_subgroup_inheritance(g, seed=seed)),
     ("product-decomposition", _product_check),
 )
 
 
-def suite_config(seed: int, max_cosets: int, defect_cap: int,
+def suite_config(seed: int, max_cosets: int,
                  exhaustive_threshold: int) -> dict:
     """The "config" block of a JSON report."""
     return {
         "seed": seed,
         "limits": {
             "max_cosets": max_cosets,
-            "defect_cap": defect_cap,
             "exhaustive_threshold": exhaustive_threshold,
         },
     }
@@ -817,7 +805,6 @@ def suite_config(seed: int, max_cosets: int, defect_cap: int,
 
 def run_full_suite(corpus: list[CorpusEntry] | None = None, *, seed: int = 0,
                    max_cosets: int = DEFAULT_MAX_COSETS,
-                   defect_cap: int = DEFAULT_CAP,
                    exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
                    max_steps: int | None = None, checks=None) -> dict:
     """Build every corpus group and run every applicable check, returning a
@@ -835,18 +822,17 @@ def run_full_suite(corpus: list[CorpusEntry] | None = None, *, seed: int = 0,
     reports = []
     for entry in corpus:
         group = entry.build(max_cosets, max_steps)
-        results = [call(group, defect_cap, exhaustive_threshold,
+        results = [call(group, exhaustive_threshold,
                         _derived_seed(seed, entry.name, cid))
                    for cid, call in table]
         results = sorted((c for c in results if c is not None),
                          key=lambda c: c.id)
         gdict = {"name": entry.name}
-        gdict.update(classify(group, cap=defect_cap).to_json_dict())
+        gdict.update(classify(group).to_json_dict())
         reports.append({"group": gdict,
                         "checks": [c.to_json_dict() for c in results]})
     return {
-        "config": suite_config(seed, max_cosets, defect_cap,
-                               exhaustive_threshold),
+        "config": suite_config(seed, max_cosets, exhaustive_threshold),
         "reports": reports,
     }
 
@@ -861,7 +847,6 @@ _EXAMPLE_CHECK_IDS = (
 
 def run_example_checks(primes: tuple[int, ...] = (2, 3, 5), *, seed: int = 0,
                        max_cosets: int = DEFAULT_MAX_COSETS,
-                       defect_cap: int = DEFAULT_CAP,
                        exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
                        max_steps: int | None = None) -> dict:
     """Verify the two worked example families: the order-128 class-4 group
@@ -875,6 +860,6 @@ def run_example_checks(primes: tuple[int, ...] = (2, 3, 5), *, seed: int = 0,
     entries += [CorpusEntry(f"class3-p{p}", partial(build_class3_p_group, p))
                 for p in primes]
     return run_full_suite(entries, checks=_EXAMPLE_CHECK_IDS, seed=seed,
-                          max_cosets=max_cosets, defect_cap=defect_cap,
+                          max_cosets=max_cosets,
                           exhaustive_threshold=exhaustive_threshold,
                           max_steps=max_steps)

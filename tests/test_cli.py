@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -5,6 +6,8 @@ import sys
 import time
 
 import pytest
+
+from baerkit.cli import _make_parser
 
 D8_TEXT = "gens: r, s; rels: r^4; s^2; (r*s)^2\n"
 D16_TEXT = "gens: r, s; rels: r^8; s^2; (r*s)^2\n"
@@ -30,6 +33,32 @@ def d16_file(tmp_path):
     path = tmp_path / "d16.txt"
     path.write_text(D16_TEXT)
     return str(path)
+
+
+def test_each_command_takes_exactly_its_pinned_options():
+    # A new option is a new knob: adding one should mean editing this list.
+    parser = _make_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    got = {name: sorted(opt for a in p._actions
+                        for opt in a.option_strings or [a.dest])
+           for name, p in commands.items()}
+    common = ["--exhaustive-threshold", "--format", "--help", "--max-cosets",
+              "--max-steps", "--seed", "-h"]
+    assert got == {
+        "analyze": sorted(common + ["path"]),
+        "defect": sorted(common + ["--n", "path", "word"]),
+        "verify-examples": sorted(common + ["--primes"]),
+        "check-theorems": sorted(common + ["--corpus"]),
+    }
+
+
+def test_defect_cap_is_a_usage_error_on_every_command(d8_file):
+    for argv in (["analyze", d8_file], ["defect", d8_file, "s"],
+                 ["verify-examples"], ["check-theorems"]):
+        out = run_cli(*argv, "--defect-cap", "3")
+        assert (out.returncode, out.stdout) == (1, ""), argv
+        assert "unrecognized arguments: --defect-cap 3" in out.stderr
 
 
 def test_analyze_text_output(d8_file):
@@ -123,9 +152,16 @@ def test_defect_json_output(d16_file):
     doc = json.loads(out.stdout)
     assert set(doc) == {"config", "defect"}
     d = doc["defect"]
-    assert set(d) == {"word", "defect", "cap", "stabilized", "n", "n_subnormal"}
-    assert d == {"word": "s", "defect": 3, "cap": None, "stabilized": False,
-                 "n": 2, "n_subnormal": False}
+    assert set(d) == {"word", "defect", "n", "n_subnormal"}
+    assert d == {"word": "s", "defect": 3, "n": 2, "n_subnormal": False}
+
+
+def test_defect_of_a_deep_reflection_is_exact(tmp_path):
+    path = tmp_path / "d1024.txt"
+    path.write_text("gens: r, s; rels: r^512; s^2; (r*s)^2\n")
+    out = run_cli("defect", str(path), "s")
+    assert out.returncode == 0
+    assert out.stdout == "defect 9; s is not 2-subnormal\n"
 
 
 def test_defect_of_a_huge_exponent_answers(d8_file):
@@ -303,4 +339,4 @@ def test_check_theorems_json_report_bytes_are_pinned():
     out = run_cli("check-theorems", "--format", "json", "--seed", "1234")
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-        "f3a174de139e38373330aaac5abf976d71f0f6bd274c81ca173f7f0dcb497a53")
+        "b31d497eac11624a0272006522218e222f1e9437844552561617b527df690142")

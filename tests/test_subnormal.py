@@ -48,7 +48,6 @@ def test_s3_transposition_is_not_subnormal(s3):
     b = s3.gen_element(1)
     res = cyclic_defect(s3, b)
     assert res.defect is None
-    assert res.stabilized
     assert not res.is_subnormal
     assert "not subnormal" in str(res)
 
@@ -97,7 +96,7 @@ def test_defect_agrees_with_lattice_search(d8, d16, s3, q8):
     for group in (d8, d16, s3, q8):
         subs = naive_all_subgroups(group)
         for e in range(group.size):
-            fast = cyclic_defect(group, e, cap=10).defect
+            fast = cyclic_defect(group, e).defect
             slow = naive_defect(group, naive_closure(group, [e]), subs)
             assert fast == slow, (group.meta.get("name"), e)
 
@@ -228,16 +227,14 @@ def test_defect_rejects_foreign_subgroup(s3, d8):
         defect(h, s3)
 
 
-def test_cap_reported_when_exceeded():
-    # A fresh group: cached defects from other tests would otherwise
-    # answer with the exact value even under a smaller cap.
-    fresh = build_group(dihedral_presentation(16))
-    s = fresh.gen_element(1)
-    res = cyclic_defect(fresh, s, cap=2)
-    assert res.defect is None
-    assert res.cap == 2
-    assert not res.stabilized
-    assert "no chain within 2" in str(res)
+def test_d1024_reflection_has_exact_defect_nine():
+    # In the dihedral group of order 2^k each term of the normal-closure
+    # series of <s> halves the rotations of the last, so s has defect k - 1.
+    d1024 = build_group(dihedral_presentation(1024))
+    res = cyclic_defect(d1024, d1024.gen_element(1))
+    assert res.defect == 9
+    assert not res.within(8)
+    assert str(res) == "defect 9"
 
 
 def test_center_elements_have_defect_one(class4_group):

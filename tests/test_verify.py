@@ -164,7 +164,7 @@ def test_full_suite_shape_and_check_ids():
     assert set(suite) == {"config", "reports"}
     assert suite["config"]["seed"] == 3
     assert set(suite["config"]["limits"]) == {
-        "max_cosets", "defect_cap", "exhaustive_threshold"}
+        "max_cosets", "exhaustive_threshold"}
     assert len(suite["reports"]) == 2
     for report in suite["reports"]:
         ids = [c["id"] for c in report["checks"]]
