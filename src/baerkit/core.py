@@ -4,16 +4,22 @@ A ConcreteGroup stores a group as its right regular action: elements are
 the indices 0..size-1 with 0 the identity, and one permutation column
 per generator letter gives right multiplication by that generator.
 Every element carries a representative word (found by breadth-first
-search from the identity), so a*b is computed by following b's word
-through the columns starting at a.  Memory stays O(size * generators);
-no full multiplication table is ever built.
+search from the identity), which prints it.  Memory stays
+O(size * generators); no full multiplication table is ever built.
+
+Products walk shorter words.  While the mean word length exceeds 5, at
+most 4 times, the group adds the column pair x -> x*e, x -> x*e^-1 for
+its deepest element e and searches again over the larger alphabet
+(shallow Schreier trees, Seress 2003, 4.4).  a*b follows b's shallow
+word through these extended columns starting at a.
 
 Whole-group maps (inverses, x -> [x, y], and g -> x^g behind centres
-and centralizers) come from one fill along that BFS tree,
-ConcreteGroup._along_tree: value[child] = perm[letter][value[parent]],
-one numpy assignment per (depth, letter) bucket.  Arithmetic on whole
-index arrays (mult_batch, comm_batch, power_batch) walks the words
-kept as a uint8 letter matrix, one flat gather per letter.
+and centralizers) come from one fill along the BFS tree of the
+representative words, ConcreteGroup._along_tree: value[child] =
+perm[letter][value[parent]], one numpy assignment per (depth, letter)
+bucket.  Arithmetic on whole index arrays (mult_batch, comm_batch,
+power_batch) walks the shallow words, kept as a uint8 letter matrix,
+one flat gather per letter.
 
 Subgroups are plain element sets with a remembered generating list;
 closures are grown one right coset at a time (Dimino's algorithm).
@@ -29,7 +35,7 @@ from math import lcm
 
 import numpy as np
 
-from .presentation import GroupPresentation, Word, free_reduce
+from .presentation import MAX_GENERATORS, GroupPresentation, Word, free_reduce
 
 __all__ = [
     "GroupError",
@@ -64,7 +70,8 @@ class cached_property(functools.cached_property):
 
     The base class writes through instance.__dict__; on CPython 3.11 that
     moves the instance's attributes out of inline storage and slows every
-    later attribute load, mult's self.cols and self.rep_word included."""
+    later attribute load, mult's self.ext_cols and self.shallow_word
+    included."""
 
     def __get__(self, obj, owner=None):
         if obj is None:
@@ -74,14 +81,27 @@ class cached_property(functools.cached_property):
         return value
 
 
+# Extra column pairs are added while the mean shallow word is longer
+# than SHALLOW_MEAN letters, at most SHALLOW_PAIRS times.
+SHALLOW_MEAN = 5
+SHALLOW_PAIRS = 4
+
+
 class ConcreteGroup:
-    """Finite group given by permutation columns for right multiplication."""
+    """Finite group given by permutation columns for right multiplication.
+
+    cols holds the 2*ngens generator letter columns and rep_word each
+    element's breadth-first word over them.  ext_cols is cols followed
+    by the extra column pairs, and shallow_word each element's shortest
+    word over ext_cols; products walk these."""
 
     def __init__(self, cols, presentation: GroupPresentation | None = None,
                  gen_names: tuple[str, ...] | None = None, meta: dict | None = None):
         cols = [list(c) for c in cols]
         if not cols or len(cols) % 2 != 0:
             raise GroupError("need one column per generator letter (gen, inverse)")
+        if len(cols) > 2 * MAX_GENERATORS:
+            raise GroupError(f"more than {MAX_GENERATORS} generators")
         n = len(cols[0])
         if any(len(c) != n for c in cols):
             raise GroupError("ragged column lengths")
@@ -102,7 +122,7 @@ class ConcreteGroup:
         # reads n objects laid out in order, not one per column entry.
         ints = list(range(n))
         self.cols = [list(map(ints.__getitem__, c)) for c in cols]
-        self._bfs()
+        self._search_words(ints)
         # Memos keyed by an argument, each filled by the function named.
         self._orders: dict[int, int] = {}  # element_order
         self._nilpotency_class: dict[frozenset, int | None] = {}  # nilpotency_class
@@ -125,23 +145,46 @@ class ConcreteGroup:
             if any(inv[col[e]] != e for e in range(n)):
                 raise GroupError(f"columns {l} and {l ^ 1} are not mutually inverse")
 
-    def _bfs(self):
-        n = self.size
-        rep: list[bytes | None] = [None] * n
-        rep[0] = b""
-        order = [0]
-        cols = self.cols
-        ncols = len(cols)
-        for e in order:
-            base = rep[e]
-            for l in range(ncols):
-                c = cols[l][e]
-                if rep[c] is None:
-                    rep[c] = base + bytes([l])
-                    order.append(c)
-        if any(r is None for r in rep):
+    def _search_words(self, ints):
+        """Set rep_word, ext_cols and shallow_word.
+
+        rep_word is each element's breadth-first word over cols.  While
+        the mean word is longer than SHALLOW_MEAN letters, add the pair
+        x -> x*e, x -> x*e^-1 for the deepest element e (the least on a
+        tie) and search the shortest words again, at most SHALLOW_PAIRS
+        times, and only while every letter and mult_batch's pad letter
+        (one past the last) fit a uint8."""
+        n, base = self.size, len(self.cols)
+        # Lists indexed out of this object array share the ints.
+        ints = np.array(ints, dtype=object)
+        stack = np.empty((base + 2 * SHALLOW_PAIRS, n), dtype=np.int32)
+        stack[:base] = self.cols
+        k = base
+        tree = breadth_first(stack[:k])
+        if tree[3].size != n:
             raise GroupError("columns do not generate a transitive action")
-        self.rep_word: list[bytes] = rep  # type: ignore[assignment]
+        self.rep_word = self.shallow_word = _spell(tree, ints)
+        depth = tree[0]
+        while (k < base + 2 * SHALLOW_PAIRS and k + 2 <= 255
+               and depth.sum() > SHALLOW_MEAN * n):
+            e = int(np.argmax(depth))
+            col = np.arange(n)
+            for l in _tree_word(tree, e):
+                col = stack[l][col]
+            stack[k] = col
+            stack[k + 1][col] = np.arange(n)
+            k += 2
+            tree = breadth_first(stack[:k])
+            depth = tree[0]
+        self.ext_cols = self.cols + [ints[row].tolist()
+                                     for row in stack[base:k]]
+        if k > base:
+            self.shallow_word = _spell(tree, ints)
+
+    @property
+    def extra_pairs(self) -> int:
+        """The number of column pairs added for shallow words."""
+        return (len(self.ext_cols) - len(self.cols)) // 2
 
     # -- element arithmetic ------------------------------------------------
 
@@ -160,8 +203,8 @@ class ConcreteGroup:
         return Subgroup(self, range(self.size), self.generator_elements())
 
     def mult(self, a: int, b: int) -> int:
-        cols = self.cols
-        for l in self.rep_word[b]:
+        cols = self.ext_cols
+        for l in self.shallow_word[b]:
             a = cols[l][a]
         return a
 
@@ -230,8 +273,8 @@ class ConcreteGroup:
 
     @cached_property
     def _npcols(self):
-        # The letter columns, then the identity row that _words pads with.
-        return np.array(self.cols + [range(self.size)], dtype=np.int64)
+        # The extended columns, then the identity row that _letters pads with.
+        return np.array(self.ext_cols + [range(self.size)], dtype=np.int64)
 
     @cached_property
     def _tree(self):
@@ -272,35 +315,37 @@ class ConcreteGroup:
         """The full map x -> [x, y] as a numpy array.
 
         Since [x, y] = (y^-1)^x * y, this is the tree fill of x ->
-        (y^-1)^x followed by y's word.  Iterating the map computes
+        (y^-1)^x followed by y's shallow word.  Iterating the map computes
         left-normed brackets: applying it n times to x yields
         [x, y, y, ..., y] with n copies of y."""
         v = self._along_tree(self.inv(y), self._conj_perms)
         cols = self._npcols
-        for l in self.rep_word[y]:
+        for l in self.shallow_word[y]:
             v = cols[l][v]
         return v
 
     # -- batched arithmetic over index arrays ------------------------------
 
     @cached_property
-    def _words(self):
-        """The representative words as a depth-major (depth, size) uint8
-        letter matrix padded with the identity letter len(cols), and
-        each word's length.  Filled along the BFS tree: a child's word
-        is its parent's word and then the edge letter."""
-        lengths = np.fromiter(map(len, self.rep_word), np.int64, self.size)
-        letters = np.full((lengths.max(), self.size), len(self.cols), np.uint8)
-        for l, parents, children in self._tree:
-            d = lengths[children[0]]
-            letters[:d - 1, children] = letters[:d - 1, parents]
-            letters[d - 1, children] = l
+    def _letters(self):
+        """The shallow words as a depth-major (depth, size) uint8 letter
+        matrix padded with the identity row's letter len(ext_cols), and
+        each word's length."""
+        words = self.shallow_word
+        lengths = np.fromiter(map(len, words), np.int64, self.size)
+        flat = np.frombuffer(b"".join(words), np.uint8)
+        starts = np.cumsum(lengths) - lengths
+        letters = np.full((lengths.max(), self.size), len(self.ext_cols),
+                          dtype=np.uint8)
+        for i, row in enumerate(letters):
+            has = lengths > i
+            row[has] = flat[starts[has] + i]
         return letters, lengths
 
     def mult_batch(self, a, b):
         """a*b elementwise over index arrays of one shape (or a scalar),
-        by one flat gather per letter of the longest word in b."""
-        letters, lengths = self._words
+        by one flat gather per letter of the longest shallow word in b."""
+        letters, lengths = self._letters
         flat, n = self._npcols.ravel(), np.int64(self.size)
         for row in letters[:lengths[b].max(initial=0), b]:
             # Widen the uint8 letters before scaling: numpy 1.x would
@@ -366,6 +411,64 @@ class ConcreteGroup:
         name = self.meta.get("name")
         label = f" {name!r}" if name else ""
         return f"<ConcreteGroup{label} of order {self.size}>"
+
+
+def breadth_first(cols):
+    """Breadth-first search from 0 over the rows of cols, one row per
+    letter and one numpy step per level.  Each element's neighbours are
+    taken in letter order and an element's first discovery is kept, so
+    the search order is a queue's.  Returns each element's word length
+    (-1 if unreached), its parent and last letter (element = parent *
+    letter), and the reached elements in search order, 0 first."""
+    ncols, n = cols.shape
+    depth = np.full(n, -1, dtype=np.int64)
+    edge_of = np.full(n, ncols * n, dtype=np.int64)
+    parent = np.zeros(n, dtype=np.int64)
+    letter = np.zeros(n, dtype=np.int64)
+    depth[0] = 0
+    levels = [np.zeros(1, dtype=np.int64)]
+    while levels[-1].size:
+        # Entry i of reached is the level's element i // ncols times
+        # letter i % ncols.  Of the entries that reach one new element,
+        # the least becomes its tree edge (edge_of is read only at
+        # elements not yet reached, so it needs no reset).
+        reached = cols[:, levels[-1]].T.ravel()
+        fresh = (depth[reached] < 0).nonzero()[0]
+        reached = reached[fresh]
+        np.minimum.at(edge_of, reached, fresh)
+        won = edge_of[reached] == fresh
+        level, (at, last) = reached[won], np.divmod(fresh[won], ncols)
+        depth[level] = len(levels)
+        parent[level] = levels[-1][at]
+        letter[level] = last
+        levels.append(level)
+    return depth, parent, letter, np.concatenate(levels)
+
+
+_BYTE = [bytes((l,)) for l in range(256)]
+
+
+def _spell(tree, ints) -> list[bytes]:
+    """Each element's word in a tree made by breadth_first.  ints is
+    range(n) as an object array; the walk takes its indices from it, so
+    as not to make n new int objects per index list."""
+    _, parent, letter, order = tree
+    order = order[1:]
+    words = [b""] * len(parent)
+    for c, p, l in zip(ints[order].tolist(), ints[parent[order]].tolist(),
+                       letter[order].tolist()):
+        words[c] = words[p] + _BYTE[l]
+    return words
+
+
+def _tree_word(tree, e: int) -> list[int]:
+    """The letters from 0 to e in a tree made by breadth_first."""
+    _, parent, letter, _ = tree
+    word = []
+    while e:
+        word.append(letter[e])
+        e = parent[e]
+    return word[::-1]
 
 
 class Subgroup:
@@ -451,7 +554,8 @@ class _ClosureBuilder:
     t = r*s is walked; if t is unmarked, the coset H*t is added as
     (H*r)*s by walking s over the stored coset H*r.  The closure is
     complete once the representatives are closed under every generator.
-    Generators are walked as lists of letter columns.
+    Each generator is walked as the list of extended columns its
+    shallow word names.
     """
 
     def __init__(self, group: ConcreteGroup):
@@ -474,9 +578,9 @@ class _ClosureBuilder:
         mark = self._mark
         if mark[g]:
             return False
-        cols = self.group.cols
+        cols = self.group.ext_cols
         elems = self._elems
-        walk = [cols[l] for l in self.group.rep_word[g]]
+        walk = [cols[l] for l in self.group.shallow_word[g]]
         self.gens.append(g)
         self._walks.append(walk)
         m = len(elems)

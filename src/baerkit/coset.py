@@ -48,6 +48,7 @@ from math import gcd
 
 import numpy as np
 
+from .core import ConcreteGroup, breadth_first
 from .presentation import GroupPresentation, Word, free_reduce
 
 __all__ = [
@@ -457,8 +458,6 @@ def to_group(table: CosetTable, max_cosets: int = DEFAULT_MAX_COSETS):
     when |H| times the index exceeds max_cosets, before the lifted
     table is allocated.
     """
-    from .core import ConcreteGroup
-
     pres = table.presentation
     h, index = table.subgroup_order, table.coset_count
     if h == 0:
@@ -485,20 +484,11 @@ def _standardize(cols: np.ndarray) -> np.ndarray:
     element's neighbours in letter order; raises RuntimeError unless
     every element is reached."""
     n = cols.shape[1]
-    new = np.full(n, -1, dtype=np.int64)
-    new[0] = 0
-    count = 1
-    level = np.zeros(1, dtype=np.int64)
-    while level.size:
-        # the level's neighbours, element by element, letter by letter
-        reached = cols[:, level].T.ravel()
-        reached = reached[new[reached] < 0]
-        _, first = np.unique(reached, return_index=True)
-        level = reached[np.sort(first)]
-        new[level] = np.arange(count, count + level.size)
-        count += level.size
-    if count != n:
+    order = breadth_first(cols)[3]
+    if order.size != n:
         raise RuntimeError("coset table is not transitive")
+    new = np.empty(n, dtype=np.int64)
+    new[order] = np.arange(n)
     out = np.empty_like(cols)
     out[:, new] = new[cols]
     return out

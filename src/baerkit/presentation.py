@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 
 __all__ = [
+    "MAX_GENERATORS",
     "PresentationError",
     "WordLimitError",
     "Word",
@@ -39,6 +40,10 @@ GEN_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 # The parser recurses once per open bracket; deeper input is rejected
 # with a PresentationError long before Python's recursion limit.
 MAX_NESTING = 100
+
+# Group elements carry words whose letters (a generator or its inverse)
+# are stored one per byte, with a spare value for padding.
+MAX_GENERATORS = 127
 
 
 class PresentationError(ValueError):
@@ -298,7 +303,8 @@ def parse_presentation(text: str,
     """Parse presentation text into a GroupPresentation.
 
     Raises PresentationError (offset-annotated) on syntax errors,
-    undeclared generators, and zero exponent literals, and WordLimitError
+    undeclared generators, zero exponent literals and more than
+    MAX_GENERATORS generators, and WordLimitError
     past max_syllables.
     """
     p = _Parser(text, max_syllables=max_syllables)
@@ -312,6 +318,9 @@ def parse_presentation(text: str,
         if kind != "name":
             raise PresentationError(f"expected a generator name, found {val!r}", pos)
         gens.append(val)
+        if len(gens) > MAX_GENERATORS:
+            raise PresentationError(
+                f"more than {MAX_GENERATORS} generators", pos)
         if p.peek()[1] == ",":
             p.next()
             continue

@@ -298,6 +298,16 @@ def test_deeply_nested_presentation_is_a_clean_input_error(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_too_many_generators_is_a_clean_input_error(tmp_path):
+    path = tmp_path / "wide.txt"
+    names = ", ".join(f"g{i}" for i in range(130))
+    path.write_text(f"gens: {names}; rels: g0^2\n")
+    out = run_cli("analyze", str(path))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: more than 127 generators")
+
+
 def test_relator_longer_than_max_cosets_exits_with_limit_error(tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text("gens: a; rels: a^1000000000\n")

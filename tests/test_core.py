@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from baerkit.core import (
+    ConcreteGroup,
     GroupError,
     Subgroup,
     center,
@@ -173,16 +174,21 @@ def test_comm_with_perm_matches_pointwise(map_groups):
             assert conj.tolist() == [group.conj(y, g) for g in range(n)]
 
 
+def _deepest(words):
+    depth = max(map(len, words))
+    return [e for e, w in enumerate(words) if len(w) == depth]
+
+
 def test_batched_arithmetic_matches_scalar(map_groups):
     rng = random.Random(19)
     deep = build_group(dihedral_presentation(400))
     # Here letter * size passes 2**16, so the gather offsets must be
     # computed in a wide integer type whatever numpy's casting rules are.
     wide = build_group("gens: a, b; rels: a^150; b^150; [a, b]")
-    for group in map_groups + [deep, wide]:
+    c1000 = build_group(cyclic_presentation(1000))
+    for group in map_groups + [deep, wide, c1000]:
         n = group.size
-        depth = max(len(w) for w in group.rep_word)
-        deepest = [e for e in range(n) if len(group.rep_word[e]) == depth]
+        deepest = _deepest(group.rep_word) + _deepest(group.shallow_word)
         a = [0, 0] + deepest + [rng.randrange(n) for _ in range(40)]
         b = deepest + [0, rng.randrange(n)] + [rng.randrange(n) for _ in range(40)]
         A, B = np.array(a), np.array(b)
@@ -198,6 +204,102 @@ def test_batched_arithmetic_matches_scalar(map_groups):
             assert op(empty, empty).size == 0
         assert group.power_batch(empty, 3).size == 0
         assert group.power_batch(empty, 0).size == 0
+
+
+def _walk(cols, word):
+    e = 0
+    for l in word:
+        e = cols[l][e]
+    return e
+
+
+def test_shallow_and_representative_words_spell_each_element(s4, class3_p2):
+    d80 = build_group(dihedral_presentation(80))
+    c6xc60 = build_group("gens: a, b; rels: a^6; b^60; [a, b]")
+    for group in (s4, d80, c6xc60, class3_p2):
+        assert len(group.cols) == 2 * group.ngens
+        assert len(group.ext_cols) == len(group.cols) + 2 * group.extra_pairs
+        for e in range(group.size):
+            assert _walk(group.ext_cols, group.shallow_word[e]) == e
+            assert _walk(group.cols, group.rep_word[e]) == e
+    assert d80.extra_pairs == 2  # so the walks cover extra columns
+
+
+@pytest.mark.parametrize("text, pairs, letters", [
+    (dihedral_presentation(256), 4, 860),
+    (dihedral_presentation(400), 4, 1744),
+    ("gens: a, b; rels: a^6; b^60; [a, b]", 3, 1350),
+    (cyclic_presentation(1000), 4, 16993),
+    ("gens: a; rels: a", 0, 0),
+    (cyclic_presentation(2), 0, 1),
+])
+def test_extra_pairs_and_shallow_word_letters_are_pinned(text, pairs, letters):
+    group = build_group(text)
+    assert group.extra_pairs == pairs
+    assert sum(map(len, group.shallow_word)) == letters
+    assert sum(map(len, group.shallow_word)) <= 5 * group.size or pairs == 4
+
+
+def test_class3_p5_extra_pairs_are_pinned(class3_p5):
+    assert class3_p5.extra_pairs == 3
+    assert sum(map(len, class3_p5.shallow_word)) == 76922
+    assert sum(map(len, class3_p5.rep_word)) == 204436
+
+
+def test_extra_pairs_leave_a_pad_letter_in_a_byte():
+    # 124 generators use letters 0..247, so three pairs fit below the
+    # pad letter 254 and a fourth would not.
+    names = [f"a{i}" for i in range(1, 125)]
+    text = (f"gens: {', '.join(names)}; rels: a1^200; "
+            + "; ".join(f"{g} = a1" for g in names[1:]))
+    group = build_group(text)
+    assert group.size == 200
+    assert group.extra_pairs == 3
+    assert len(group.ext_cols) == 254
+    assert max(max(w, default=0) for w in group.shallow_word) < 254
+    a = np.arange(group.size)
+    b = a[::-1].copy()
+    assert group.mult_batch(a, b).tolist() == \
+        [group.mult(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+
+def _queue_words(cols):
+    # breadth-first with a queue, each element's letters in order
+    words = {0: b""}
+    queue = [0]
+    for e in queue:
+        for l, col in enumerate(cols):
+            if col[e] not in words:
+                words[col[e]] = words[e] + bytes((l,))
+                queue.append(col[e])
+    return [words[e] for e in range(len(cols[0]))]
+
+
+def test_representative_words_are_the_queue_search_words():
+    # A shuffled numbering, so the search order is not 0..n-1.
+    rng = random.Random(23)
+    for text in (dihedral_presentation(40), "gens: a, b; rels: a^6; b^20; [a, b]"):
+        std = build_group(text)
+        new = [0] + rng.sample(range(1, std.size), std.size - 1)
+        cols = [[0] * std.size for _ in std.cols]
+        for col, out in zip(std.cols, cols):
+            for x in range(std.size):
+                out[new[x]] = new[col[x]]
+        group = ConcreteGroup(cols)
+        assert group.extra_pairs > 0
+        assert group.rep_word == _queue_words(group.cols)
+        shortest = _queue_words(group.ext_cols)
+        assert list(map(len, group.shallow_word)) == list(map(len, shortest))
+
+
+def test_intransitive_columns_are_refused():
+    with pytest.raises(GroupError, match="transitive"):
+        ConcreteGroup([[0, 1, 2, 3], [0, 1, 2, 3], [1, 0, 3, 2], [1, 0, 3, 2]])
+
+
+def test_groups_with_too_many_generators_are_refused():
+    with pytest.raises(GroupError, match="more than 127 generators"):
+        ConcreteGroup([[0]] * 256)
 
 
 def test_whole_group_maps_agree_with_naive_scans(map_groups):
@@ -323,6 +425,22 @@ def test_direct_product_embeddings_commute(q8):
             assert g.mult(left[a], right[b]) == g.mult(right[b], left[a])
     assert nilpotency_class(g) == 2
     assert exponent(g) == 12
+
+
+def test_direct_product_of_groups_with_extra_pairs_embeds_both():
+    d40 = build_group(dihedral_presentation(40))
+    c60 = build_group(cyclic_presentation(60))
+    g = direct_product(d40, c60)
+    assert (d40.extra_pairs, c60.extra_pairs, g.extra_pairs) == (1, 2, 4)
+    left, right = g.meta["embed_left"], g.meta["embed_right"]
+    for factor, embed in ((d40, left), (c60, right)):
+        assert len(set(embed)) == factor.size
+        for a in range(factor.size):
+            for b in range(factor.size):
+                assert g.mult(embed[a], embed[b]) == embed[factor.mult(a, b)]
+    for a in range(d40.size):
+        for b in range(c60.size):
+            assert g.mult(left[a], right[b]) == g.mult(right[b], left[a])
 
 
 def test_sylow_decomposition_of_c12():

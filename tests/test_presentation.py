@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from baerkit.presentation import (
+    MAX_GENERATORS,
     MAX_NESTING,
     GroupPresentation,
     PresentationError,
@@ -210,3 +211,12 @@ def test_single_syllable_powers_are_not_counted_against_the_limit():
     assert pres.relators == (word("a", 1000000000), word("b", -6))
     assert parse_word("b*a^1000000000*b", ("a", "b"), max_syllables=3) == \
         Word((("b", 1), ("a", 1000000000), ("b", 1)))
+
+
+def test_generator_count_is_limited():
+    def text(k):
+        return f"gens: {', '.join(f'g{i}' for i in range(k))}; rels: g0^2"
+    assert len(parse_presentation(text(MAX_GENERATORS)).generators) == 127
+    for k in (MAX_GENERATORS + 1, 130):
+        with pytest.raises(PresentationError, match="more than 127 generators"):
+            parse_presentation(text(k))
