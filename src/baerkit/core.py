@@ -315,10 +315,14 @@ class ConcreteGroup:
         """The full map x -> [x, y] as a numpy array.
 
         Since [x, y] = (y^-1)^x * y, this is the tree fill of x ->
-        (y^-1)^x followed by y's shallow word.  Iterating the map computes
-        left-normed brackets: applying it n times to x yields
-        [x, y, y, ..., y] with n copies of y."""
-        v = self._along_tree(self.inv(y), self._conj_perms)
+        (y^-1)^x followed by y's shallow word.  A y that every letter's
+        conjugation fixes is central, and its map is all zeros with no
+        fill.  Iterating the map computes left-normed brackets: applying
+        it n times to x yields [x, y, y, ..., y] with n copies of y."""
+        conj = self._conj_perms
+        if all(p[y] == y for p in conj):
+            return np.zeros(self.size, dtype=np.int64)
+        v = self._along_tree(self.inv(y), conj)
         cols = self._npcols
         for l in self.shallow_word[y]:
             v = cols[l][v]
@@ -421,28 +425,38 @@ def breadth_first(cols):
     (-1 if unreached), its parent and last letter (element = parent *
     letter), and the reached elements in search order, 0 first."""
     ncols, n = cols.shape
+    by_elem = np.ascontiguousarray(cols.T)
     depth = np.full(n, -1, dtype=np.int64)
     edge_of = np.full(n, ncols * n, dtype=np.int64)
-    parent = np.zeros(n, dtype=np.int64)
-    letter = np.zeros(n, dtype=np.int64)
     depth[0] = 0
     levels = [np.zeros(1, dtype=np.int64)]
+    edges = []
     while levels[-1].size:
         # Entry i of reached is the level's element i // ncols times
         # letter i % ncols.  Of the entries that reach one new element,
         # the least becomes its tree edge (edge_of is read only at
         # elements not yet reached, so it needs no reset).
-        reached = cols[:, levels[-1]].T.ravel()
+        reached = by_elem[levels[-1]].ravel()
         fresh = (depth[reached] < 0).nonzero()[0]
         reached = reached[fresh]
         np.minimum.at(edge_of, reached, fresh)
         won = edge_of[reached] == fresh
-        level, (at, last) = reached[won], np.divmod(fresh[won], ncols)
+        level = reached[won]
         depth[level] = len(levels)
-        parent[level] = levels[-1][at]
-        letter[level] = last
+        edges.append(fresh[won])
         levels.append(level)
-    return depth, parent, letter, np.concatenate(levels)
+    # Parents and letters are scattered once, not per level: an edge
+    # entry indexes its level's reached array, so its parent sits at the
+    # previous level's offset in the search order plus entry // ncols.
+    order = np.concatenate(levels)
+    sizes = np.fromiter(map(len, levels), np.int64, len(levels))
+    offsets = np.repeat(np.cumsum(sizes) - sizes, np.append(sizes[1:], 0))
+    at, last = np.divmod(np.concatenate(edges), ncols)
+    parent = np.zeros(n, dtype=np.int64)
+    letter = np.zeros(n, dtype=np.int64)
+    parent[order[1:]] = order[offsets + at]
+    letter[order[1:]] = last
+    return depth, parent, letter, order
 
 
 _BYTE = [bytes((l,)) for l in range(256)]

@@ -9,10 +9,13 @@ defect is the first index where it hits H, and if the series stabilizes
 strictly above H no chain exists at all.
 
 T_n(G) is generated by every element x whose cyclic subgroup <x> is not
-n-subnormal.  The scan below walks conjugacy class representatives and
-deduplicates cyclic subgroups, which is enough: defects are invariant
-under conjugation and depend only on the cyclic subgroup, not on which
-generator of it was picked.
+n-subnormal.  The scans below examine one representative per conjugacy
+class and deduplicate cyclic subgroups, which is enough: defects are
+invariant under conjugation and depend only on the cyclic subgroup, not
+on which generator of it was picked.  For the whole group the classes
+are ConcreteGroup.conjugacy_classes; inside a subgroup (t_n_within) they
+are the subgroup's own classes, walked as orbits under conjugation by
+its generators.
 """
 
 from __future__ import annotations
@@ -137,14 +140,18 @@ def t_n_subgroup(group: ConcreteGroup, n: int) -> Subgroup:
 def t_n_within(ambient: Subgroup, n: int) -> Subgroup:
     """T_n of a subgroup, computed inside the parent group's indices.
 
-    One generator per distinct cyclic subgroup of the ambient is enough,
-    and once a cyclic subgroup has been examined every element inside it
-    can be skipped: a subgroup of a cyclic group is characteristic in
-    it, so powers of an n-subnormal element stay n-subnormal, and powers
-    of a bad element land inside the generated subgroup anyway."""
+    One generator per ambient conjugacy class of cyclic subgroups is
+    enough.  Once <h> has been examined, every element inside it can be
+    skipped: a subgroup of a cyclic group is characteristic in it, so
+    powers of an n-subnormal element stay n-subnormal, and powers of a
+    bad element land inside the generated subgroup anyway.  So can h's
+    whole conjugacy class in the ambient: a conjugate has the same
+    defect there, and a conjugate of a bad h lies in its normal
+    closure."""
     group = ambient.group
     if ambient.is_whole():
         return t_n_subgroup(group, n)
+    kgens = list(dict.fromkeys(ambient.gens))
     seen: set[int] = set()
     bad: list[int] = []
     for h in ambient.elements:
@@ -154,6 +161,14 @@ def t_n_within(ambient: Subgroup, n: int) -> Subgroup:
         seen |= cyc.elemset
         if not defect(cyc, ambient).within(n):
             bad.append(h)
+        orbit, in_orbit = [h], {h}
+        for x in orbit:
+            for k in kgens:
+                c = group.conj(x, k)
+                if c not in in_orbit:
+                    in_orbit.add(c)
+                    orbit.append(c)
+        seen |= in_orbit
     return normal_closure(bad, ambient)
 
 

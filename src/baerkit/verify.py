@@ -411,7 +411,13 @@ def check_cyclic_closure_class(
         exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
         seed: int = 0) -> TheoremCheck:
     """When T_2 is proper, every element outside it generates a normal
-    closure of class at most 2 and is a left 3-Engel element."""
+    closure of class at most 2 and is a left 3-Engel element.
+
+    Both answers are conjugation invariant (the normal closure of g^h is
+    that of g), so each is computed once per conjugacy class, from its
+    representative, and only the closure's order and class are kept.
+    Elements are still visited in input order, so a failure names the
+    first failing element, not its representative."""
     cid = "cyclic-closure-class"
     t2 = classify(group).t2
     if t2.is_whole():
@@ -425,16 +431,20 @@ def check_cyclic_closure_class(
         rng = random.Random(seed)
         todo = rng.sample(outside, min(_CYCLIC_TRIALS, len(outside)))
         mode = "sampled"
+    per_class: dict[int, tuple[int, int | None, bool]] = {}
     for g in todo:
-        ncl = normal_closure([g], group)
-        cls = nilpotency_class(ncl)
+        r = group._class_rep[g]
+        if r not in per_class:
+            ncl = normal_closure([r], group)
+            per_class[r] = (ncl.size, nilpotency_class(ncl),
+                            is_left_n_engel(group, r, 3).holds)
+        size, cls, engel = per_class[r]
         if cls is None or cls > 2:
             return _verdict(cid, False,
-                            {"mode": mode, "closure_order": ncl.size,
+                            {"mode": mode, "closure_order": size,
                              "closure_class": cls},
                             witness=str(group.element_word(g)))
-        engel = is_left_n_engel(group, g, 3)
-        if not engel.holds:
+        if not engel:
             return _verdict(cid, False,
                             {"mode": mode, "failed": "left 3-Engel"},
                             witness=str(group.element_word(g)))

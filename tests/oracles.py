@@ -385,3 +385,67 @@ def scalar_expansion_formula(group, n_values=(1, 2, 3, 4, 5, 6), trials=200,
         checks.append(IdentityCheck(f"power-expansion-n{n}", witness is None,
                                     mode, len(pairs), witness))
     return checks
+
+
+# -- per-element references for the once-per-class scans ----------------------
+#
+# The package answers conjugation-invariant questions once per conjugacy
+# class.  The loops below answer them once per element, as the package
+# did before, so the two must agree exactly.
+
+def per_element_t_n_within(ambient, n):
+    """T_n of a subgroup, examining one element per cyclic subgroup of
+    the ambient (skipping only the elements inside a cyclic subgroup
+    already examined)."""
+    from baerkit.core import Subgroup, normal_closure
+    from baerkit.subnormal import defect
+
+    group = ambient.group
+    seen: set[int] = set()
+    bad = []
+    for h in ambient.elements:
+        if h in seen:
+            continue
+        cyc = Subgroup.generated(group, [h])
+        seen |= cyc.elemset
+        if not defect(cyc, ambient).within(n):
+            bad.append(h)
+    return normal_closure(bad, ambient)
+
+
+def per_element_cyclic_closure_class(group, *, exhaustive_threshold=2048,
+                                     seed=0):
+    """verify.check_cyclic_closure_class with one normal closure and one
+    left-Engel test per element.  Through the verify module, so a test
+    that monkeypatches its nilpotency_class reaches this reference too."""
+    from baerkit import verify
+
+    cid = "cyclic-closure-class"
+    t2 = verify.classify(group).t2
+    if t2.is_whole():
+        return verify._skip(
+            cid, "T_2 is the whole group; no elements lie outside it",
+            t2_order=t2.size)
+    outside = [g for g in range(group.size) if g not in t2.elemset]
+    if group.size <= exhaustive_threshold:
+        todo, mode = outside, "exhaustive"
+    else:
+        rng = random.Random(seed)
+        todo = rng.sample(outside, min(verify._CYCLIC_TRIALS, len(outside)))
+        mode = "sampled"
+    for g in todo:
+        ncl = verify.normal_closure([g], group)
+        cls = verify.nilpotency_class(ncl)
+        if cls is None or cls > 2:
+            return verify._verdict(cid, False,
+                                   {"mode": mode, "closure_order": ncl.size,
+                                    "closure_class": cls},
+                                   witness=str(group.element_word(g)))
+        if not verify.is_left_n_engel(group, g, 3).holds:
+            return verify._verdict(cid, False,
+                                   {"mode": mode, "failed": "left 3-Engel"},
+                                   witness=str(group.element_word(g)))
+    details = {"mode": mode, "count": len(todo), "outside_t2": len(outside)}
+    if mode == "sampled":
+        details["seed"] = seed
+    return verify._verdict(cid, True, details)

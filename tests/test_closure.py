@@ -20,8 +20,13 @@ from baerkit.core import (
     lower_central_series,
     normal_closure,
 )
-from baerkit.subnormal import classify
-from baerkit.verify import build_group, class3_p_group_presentation, dihedral_presentation
+from baerkit.subnormal import classify, t_n_within
+from baerkit.verify import (
+    build_group,
+    check_cyclic_closure_class,
+    class3_p_group_presentation,
+    dihedral_presentation,
+)
 
 from oracles import naive_closure, naive_normal_closure
 
@@ -108,13 +113,25 @@ def test_normal_closure_rejects_generators_outside_the_ambient(d16):
 
 
 P3 = class3_p_group_presentation(3)
+D16 = dihedral_presentation(16)
+
+
+def _t2_within_d8(group):
+    # T_2 inside the dihedral subgroup <s, r^2> of order 8.
+    r, s = group.generator_elements()
+    return t_n_within(Subgroup.generated(group, [s, group.power(r, 2)]), 2)
 
 
 @pytest.mark.parametrize("presentation, run, builders", [
     pytest.param(P3, lower_central_series, 3, id="p3-lower-central"),
     pytest.param(P3, derived_series, 2, id="p3-derived"),
     pytest.param(P3, lambda g: frattini_p_group(g, 3), 1, id="p3-frattini"),
-    pytest.param(dihedral_presentation(16), classify, 28, id="d16-classify"),
+    pytest.param(D16, classify, 28, id="d16-classify"),
+    pytest.param(D16, check_cyclic_closure_class, 28,
+                 id="d16-cyclic-closure-class"),
+    pytest.param(class3_p_group_presentation(2), check_cyclic_closure_class,
+                 81, id="p2-cyclic-closure-class"),
+    pytest.param(D16, _t2_within_d8, 12, id="d16-t2-within"),
 ])
 def test_closures_built_per_computation(monkeypatch, presentation, run,
                                         builders):

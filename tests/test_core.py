@@ -174,6 +174,23 @@ def test_comm_with_perm_matches_pointwise(map_groups):
             assert conj.tolist() == [group.conj(y, g) for g in range(n)]
 
 
+def test_comm_with_perm_of_a_central_element_is_all_zeros(q8, class3_p2):
+    c6xc60 = build_group("gens: a, b; rels: a^6; b^60; [a, b]")
+    for group in (q8, class3_p2, c6xc60):
+        cols = group._npcols
+        central = center(group).elements
+        assert len(central) > 1
+        for y in central:
+            table = group.comm_with_perm(y)
+            assert table.dtype == np.int64
+            assert table.tolist() == [0] * group.size
+            # The fill the shortcut skips gives the same map.
+            fill = group._along_tree(group.inv(y), group._conj_perms)
+            for l in group.shallow_word[y]:
+                fill = cols[l][fill]
+            assert fill.tolist() == table.tolist()
+
+
 def _deepest(words):
     depth = max(map(len, words))
     return [e for e, w in enumerate(words) if len(w) == depth]

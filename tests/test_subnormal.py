@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from baerkit.core import GroupError, Subgroup, center
@@ -16,7 +18,13 @@ from baerkit.subnormal import (
 )
 from baerkit.verify import build_group, cyclic_presentation, dihedral_presentation
 
-from oracles import naive_all_subgroups, naive_closure, naive_defect, naive_t2
+from oracles import (
+    naive_all_subgroups,
+    naive_closure,
+    naive_defect,
+    naive_t2,
+    per_element_t_n_within,
+)
 
 
 def test_defect_zero_is_the_whole_group(s3):
@@ -141,6 +149,38 @@ def test_t2_within_dihedral_subgroup(d16):
     mid = Subgroup.generated(d16, [s, r2])
     inner = t_n_within(mid, 2)
     assert inner.size == 1
+
+
+def _subgroups_by_two(group):
+    """Every distinct subgroup generated by one or two elements."""
+    subs = {}
+    for a in range(group.size):
+        for b in range(a, group.size):
+            sub = Subgroup.generated(group, [a, b])
+            subs.setdefault(sub.elemset, sub)
+    return subs.values()
+
+
+@pytest.mark.parametrize("name", ["s4", "q8", "d16", "class3_p2"])
+def test_t2_within_matches_per_element_scan_on_small_groups(request, name):
+    group = request.getfixturevalue(name)
+    for sub in _subgroups_by_two(group):
+        assert (t_n_within(sub, 2).elemset
+                == per_element_t_n_within(sub, 2).elemset), sub.gens
+
+
+@pytest.mark.parametrize("text", [
+    dihedral_presentation(80),
+    "gens: a, b; rels: a^37; b^6; b^-1*a*b = a^11",
+])
+def test_t2_within_matches_per_element_scan_on_seeded_subgroups(text):
+    group = build_group(text)
+    rng = random.Random(f"t2-within:{text}")
+    for i in range(20):
+        gens = [rng.randrange(group.size) for _ in range(1 + i % 2)]
+        sub = Subgroup.generated(group, gens)
+        assert (t_n_within(sub, 2).elemset
+                == per_element_t_n_within(sub, 2).elemset), gens
 
 
 def test_is_n_subnormal_matches_defect(d16):

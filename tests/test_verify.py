@@ -1,9 +1,10 @@
+import random
 from functools import partial
 
 import pytest
 
 from baerkit import verify
-from baerkit.core import GroupError
+from baerkit.core import GroupError, normal_closure
 from baerkit.engel import IdentityCheck
 from baerkit.subnormal import GENERALIZED_T2, TWO_BAER, cyclic_defect
 from baerkit.verify import (
@@ -12,6 +13,7 @@ from baerkit.verify import (
     build_class3_p_group,
     build_class4_2group,
     build_group,
+    check_cyclic_closure_class,
     check_expected_invariants,
     check_product_decomposition,
     check_quotient_two_baer,
@@ -28,6 +30,8 @@ from baerkit.verify import (
     symmetric_presentation,
     two_subnormal_congruence,
 )
+
+from oracles import per_element_cyclic_closure_class
 
 CORPUS_TEXT = """\
 # tiny corpus for driver tests
@@ -254,6 +258,48 @@ def test_exhaustive_threshold_reaches_generated_subgroup_class(class4_group):
         assert check["status"] == "pass"
         assert check["details"]["per_d"]["1"] == {
             "bound": 4, "count": count, "mode": mode}
+
+
+C6XC60 = "gens: a, b; rels: a^6; b^60; [a, b]"
+
+
+@pytest.mark.parametrize("name", ["d16", "class3_p2", "c6xc60"])
+def test_cyclic_closure_class_matches_per_element_reference(request, name):
+    if name == "c6xc60":
+        group = build_group(C6XC60)
+    else:
+        group = request.getfixturevalue(name)
+    for kwargs in ({}, {"exhaustive_threshold": 1, "seed": 3}):
+        assert (check_cyclic_closure_class(group, **kwargs)
+                == per_element_cyclic_closure_class(group, **kwargs))
+
+
+def test_cyclic_closure_class_names_the_first_failing_element(
+        monkeypatch, class3_p2):
+    # Sampled mode visits the elements outside T_2 in a random order, so
+    # a class can be met first at a member that is not its representative.
+    group = class3_p2
+    t2 = verify.classify(group).t2
+    outside = [g for g in range(group.size) if g not in t2.elemset]
+    assert len(outside) <= verify._CYCLIC_TRIALS
+    todo = random.Random(7).sample(outside, len(outside))
+    met = set()
+    for g in todo:
+        closure = normal_closure([g], group).elemset
+        if g != group._class_rep[g] and closure not in met:
+            break
+        met.add(closure)
+    else:
+        pytest.fail("every class is met first at its representative")
+    real = verify.nilpotency_class
+    monkeypatch.setattr(verify, "nilpotency_class",
+                        lambda sub: 3 if sub.elemset == closure else real(sub))
+    check = check_cyclic_closure_class(group, exhaustive_threshold=1, seed=7)
+    assert check.status == "fail"
+    assert check.witness == str(group.element_word(g))
+    assert check.witness != str(group.element_word(group._class_rep[g]))
+    assert check == per_element_cyclic_closure_class(
+        group, exhaustive_threshold=1, seed=7)
 
 
 def test_quotient_two_baer_skips_when_t2_is_trivial(d8, class3_p3):
