@@ -3,9 +3,10 @@
 A ConcreteGroup stores a group as its right regular action: elements are
 the indices 0..size-1 with 0 the identity, and one permutation column
 per generator letter gives right multiplication by that generator.
-Every element carries a representative word (found by breadth-first
-search from the identity), which prints it.  Memory stays
-O(size * generators); no full multiplication table is ever built.
+A breadth-first search from the identity over these columns gives each
+element a parent and a last letter; that tree spells the word that
+prints the element.  Memory stays O(size * generators); no full
+multiplication table is ever built.
 
 Products walk shorter words.  While the mean word length exceeds 5, at
 most 4 times, the group adds the column pair x -> x*e, x -> x*e^-1 for
@@ -14,12 +15,11 @@ its deepest element e and searches again over the larger alphabet
 word through these extended columns starting at a.
 
 Whole-group maps (inverses, x -> [x, y], and g -> x^g behind centres
-and centralizers) come from one fill along the BFS tree of the
-representative words, ConcreteGroup._along_tree: value[child] =
-perm[letter][value[parent]], one numpy assignment per (depth, letter)
-bucket.  Arithmetic on whole index arrays (mult_batch, comm_batch,
-power_batch) walks the shallow words, kept as a uint8 letter matrix,
-one flat gather per letter.
+and centralizers) come from one fill along that tree,
+ConcreteGroup._along_tree: value[child] = perm[letter][value[parent]],
+one numpy assignment per (depth, letter) bucket.  Arithmetic on whole
+index arrays (mult_batch, comm_batch, power_batch) walks the shallow
+words, kept as a uint8 letter matrix, one flat gather per letter.
 
 Subgroups are plain element sets with a remembered generating list;
 closures are grown one right coset at a time (Dimino's algorithm).
@@ -90,10 +90,10 @@ SHALLOW_PAIRS = 4
 class ConcreteGroup:
     """Finite group given by permutation columns for right multiplication.
 
-    cols holds the 2*ngens generator letter columns and rep_word each
-    element's breadth-first word over them.  ext_cols is cols followed
-    by the extra column pairs, and shallow_word each element's shortest
-    word over ext_cols; products walk these."""
+    cols holds the 2*ngens generator letter columns and _word_tree the
+    breadth-first tree over them that element_word and _along_tree walk.
+    ext_cols is cols followed by the extra column pairs, and shallow_word
+    each element's shortest word over ext_cols; products walk these."""
 
     def __init__(self, cols, presentation: GroupPresentation | None = None,
                  gen_names: tuple[str, ...] | None = None, meta: dict | None = None):
@@ -146,14 +146,15 @@ class ConcreteGroup:
                 raise GroupError(f"columns {l} and {l ^ 1} are not mutually inverse")
 
     def _search_words(self, ints):
-        """Set rep_word, ext_cols and shallow_word.
+        """Set _word_tree, ext_cols and shallow_word.
 
-        rep_word is each element's breadth-first word over cols.  While
-        the mean word is longer than SHALLOW_MEAN letters, add the pair
+        _word_tree is each element's depth, parent and last letter over
+        cols, the last two as lists for element_word's walk.  While the
+        mean word is longer than SHALLOW_MEAN letters, add the pair
         x -> x*e, x -> x*e^-1 for the deepest element e (the least on a
         tie) and search the shortest words again, at most SHALLOW_PAIRS
         times, and only while every letter and mult_batch's pad letter
-        (one past the last) fit a uint8."""
+        (one past the last) fit a uint8.  shallow_word spells the last tree."""
         n, base = self.size, len(self.cols)
         # Lists indexed out of this object array share the ints.
         ints = np.array(ints, dtype=object)
@@ -163,8 +164,8 @@ class ConcreteGroup:
         tree = breadth_first(stack[:k])
         if tree[3].size != n:
             raise GroupError("columns do not generate a transitive action")
-        self.rep_word = self.shallow_word = _spell(tree, ints)
-        depth = tree[0]
+        depth, parent, letter, _ = tree
+        self._word_tree = depth, ints[parent].tolist(), letter.tolist()
         while (k < base + 2 * SHALLOW_PAIRS and k + 2 <= 255
                and depth.sum() > SHALLOW_MEAN * n):
             e = int(np.argmax(depth))
@@ -178,8 +179,7 @@ class ConcreteGroup:
             depth = tree[0]
         self.ext_cols = self.cols + [ints[row].tolist()
                                      for row in stack[base:k]]
-        if k > base:
-            self.shallow_word = _spell(tree, ints)
+        self.shallow_word = _spell(tree, ints)
 
     @property
     def extra_pairs(self) -> int:
@@ -263,11 +263,11 @@ class ConcreteGroup:
         return c
 
     def element_word(self, e: int) -> Word:
-        syll = []
-        for l in self.rep_word[e]:
-            g = self.gen_names[l // 2]
-            syll.append((g, 1 if l % 2 == 0 else -1))
-        return free_reduce(Word(tuple(syll)))
+        """e's breadth-first word over the generators, read off the tree."""
+        names = self.gen_names
+        return free_reduce(Word(tuple([
+            (names[l // 2], 1 if l % 2 == 0 else -1)
+            for l in _tree_word(self._word_tree, e)])))
 
     # -- whole-group maps along the BFS tree ---------------------------------
 
@@ -279,18 +279,15 @@ class ConcreteGroup:
     @cached_property
     def _tree(self):
         """BFS tree edges as (letter, parents, children) index arrays,
-        bucketed by (depth, letter) and in depth order.  A child's depth
-        and letter are the length and last letter of its word, and its
-        parent is the child times that letter's inverse."""
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for c, w in enumerate(self.rep_word[1:], 1):
-            buckets.setdefault((len(w), w[-1]), []).append(c)
-        cols = self._npcols
-        out = []
-        for (_, l), cs in sorted(buckets.items()):
-            children = np.array(cs, dtype=np.int64)
-            out.append((l, cols[l ^ 1][children], children))
-        return out
+        bucketed by (depth, letter) and in depth order: one sort of the
+        elements by depth, then letter, then index, split where the key
+        changes.  The identity, alone at depth 0, is left out."""
+        depth, *links = self._word_tree
+        parent, letter = (np.fromiter(x, np.int64, self.size) for x in links)
+        children = np.lexsort((letter, depth))[1:]
+        key = depth[children] * len(self.cols) + letter[children]
+        return [(letter[c[0]], parent[c], c) for c in np.split(
+            children, np.flatnonzero(np.diff(key)) + 1) if c.size]
 
     def _along_tree(self, root: int, perms):
         """The map v with v[0] = root and v[child] = perms[l][v[parent]]
@@ -476,8 +473,8 @@ def _spell(tree, ints) -> list[bytes]:
 
 
 def _tree_word(tree, e: int) -> list[int]:
-    """The letters from 0 to e in a tree made by breadth_first."""
-    _, parent, letter, _ = tree
+    """The letters from 0 to e in a tree from breadth_first or _word_tree."""
+    parent, letter = tree[1:3]
     word = []
     while e:
         word.append(letter[e])

@@ -115,8 +115,9 @@ def cyclic_defect(group: ConcreteGroup, x: int) -> DefectResult:
 
 
 def is_n_subnormal(group: ConcreteGroup, x: int, n: int) -> bool:
-    """Whether <x> has defect at most n in the group."""
-    return cyclic_defect(group, x).within(n)
+    """Whether <x> has defect at most n in the group, asked of x's class
+    representative: defects are conjugation invariant."""
+    return cyclic_defect(group, group._class_rep[x]).within(n)
 
 
 def _defect_scan(group: ConcreteGroup) -> list[tuple[int, int, DefectResult]]:

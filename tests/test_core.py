@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from baerkit.core import (
     sylow_decomposition,
     upper_central_series,
 )
-from baerkit.presentation import parse_word
+from baerkit.presentation import Word, free_reduce, parse_word
 from baerkit.verify import build_group, cyclic_presentation, dihedral_presentation
 
 from oracles import (
@@ -191,9 +192,9 @@ def test_comm_with_perm_of_a_central_element_is_all_zeros(q8, class3_p2):
             assert fill.tolist() == table.tolist()
 
 
-def _deepest(words):
-    depth = max(map(len, words))
-    return [e for e, w in enumerate(words) if len(w) == depth]
+def _deepest(lengths):
+    depth = max(lengths)
+    return [e for e, k in enumerate(lengths) if k == depth]
 
 
 def test_batched_arithmetic_matches_scalar(map_groups):
@@ -205,7 +206,8 @@ def test_batched_arithmetic_matches_scalar(map_groups):
     c1000 = build_group(cyclic_presentation(1000))
     for group in map_groups + [deep, wide, c1000]:
         n = group.size
-        deepest = _deepest(group.rep_word) + _deepest(group.shallow_word)
+        rep = [group.element_word(e).letter_count() for e in range(n)]
+        deepest = _deepest(rep) + _deepest(list(map(len, group.shallow_word)))
         a = [0, 0] + deepest + [rng.randrange(n) for _ in range(40)]
         b = deepest + [0, rng.randrange(n)] + [rng.randrange(n) for _ in range(40)]
         A, B = np.array(a), np.array(b)
@@ -230,15 +232,19 @@ def _walk(cols, word):
     return e
 
 
-def test_shallow_and_representative_words_spell_each_element(s4, class3_p2):
+def test_shallow_and_representative_words_spell_each_element(
+        s3, s4, q8, d16, class3_p2):
     d80 = build_group(dihedral_presentation(80))
     c6xc60 = build_group("gens: a, b; rels: a^6; b^60; [a, b]")
-    for group in (s4, d80, c6xc60, class3_p2):
+    # A quotient is numbered by least coset member and a product by
+    # pairs; the product's tree reaches its elements out of index order.
+    for group in (s4, d80, c6xc60, class3_p2, quotient(d16, center(d16)),
+                  direct_product(q8, s3)):
         assert len(group.cols) == 2 * group.ngens
         assert len(group.ext_cols) == len(group.cols) + 2 * group.extra_pairs
         for e in range(group.size):
             assert _walk(group.ext_cols, group.shallow_word[e]) == e
-            assert _walk(group.cols, group.rep_word[e]) == e
+            assert group.word_to_element(group.element_word(e)) == e
     assert d80.extra_pairs == 2  # so the walks cover extra columns
 
 
@@ -260,7 +266,8 @@ def test_extra_pairs_and_shallow_word_letters_are_pinned(text, pairs, letters):
 def test_class3_p5_extra_pairs_are_pinned(class3_p5):
     assert class3_p5.extra_pairs == 3
     assert sum(map(len, class3_p5.shallow_word)) == 76922
-    assert sum(map(len, class3_p5.rep_word)) == 204436
+    assert sum(class3_p5.element_word(e).letter_count()
+               for e in range(class3_p5.size)) == 204436
 
 
 def test_extra_pairs_leave_a_pad_letter_in_a_byte():
@@ -292,6 +299,11 @@ def _queue_words(cols):
     return [words[e] for e in range(len(cols[0]))]
 
 
+def _spelled(group, letters):
+    return free_reduce(Word(tuple(
+        (group.gen_names[l // 2], -1 if l % 2 else 1) for l in letters)))
+
+
 def test_representative_words_are_the_queue_search_words():
     # A shuffled numbering, so the search order is not 0..n-1.
     rng = random.Random(23)
@@ -304,7 +316,8 @@ def test_representative_words_are_the_queue_search_words():
                 out[new[x]] = new[col[x]]
         group = ConcreteGroup(cols)
         assert group.extra_pairs > 0
-        assert group.rep_word == _queue_words(group.cols)
+        assert [group.element_word(e) for e in range(group.size)] == \
+            [_spelled(group, w) for w in _queue_words(group.cols)]
         shortest = _queue_words(group.ext_cols)
         assert list(map(len, group.shallow_word)) == list(map(len, shortest))
 
@@ -312,6 +325,19 @@ def test_representative_words_are_the_queue_search_words():
 def test_intransitive_columns_are_refused():
     with pytest.raises(GroupError, match="transitive"):
         ConcreteGroup([[0, 1, 2, 3], [0, 1, 2, 3], [1, 0, 3, 2], [1, 0, 3, 2]])
+
+
+@pytest.mark.parametrize("cols, names, message", [
+    ([[0]], None, "need one column per generator letter (gen, inverse)"),
+    ([], None, "need one column per generator letter (gen, inverse)"),
+    ([[0, 1], [0]], None, "ragged column lengths"),
+    ([[0, 0], [0, 1]], None, "column 0 is not a permutation"),
+    ([[1, 2, 0], [1, 2, 0]], None, "columns 0 and 1 are not mutually inverse"),
+    ([[1, 0], [1, 0]], ("a", "b"), "generator names do not match columns"),
+])
+def test_malformed_columns_are_refused(cols, names, message):
+    with pytest.raises(GroupError, match=f"^{re.escape(message)}$"):
+        ConcreteGroup(cols, gen_names=names)
 
 
 def test_groups_with_too_many_generators_are_refused():

@@ -183,10 +183,16 @@ def test_t2_within_matches_per_element_scan_on_seeded_subgroups(text):
                 == per_element_t_n_within(sub, 2).elemset), gens
 
 
-def test_is_n_subnormal_matches_defect(d16):
+def test_is_n_subnormal_matches_defect(s4, d16, class3_p2):
     for e in range(d16.size):
         d = cyclic_defect(d16, e).defect
         assert is_n_subnormal(d16, e, 2) == (d is not None and d <= 2)
+    # Against the uncached defect of <x> itself, not its class rep's.
+    for group in (s4, d16, class3_p2):
+        for x in range(group.size):
+            result = defect(Subgroup.generated(group, [x]), group)
+            for n in (1, 2, 3):
+                assert is_n_subnormal(group, x, n) == result.within(n), (x, n)
 
 
 def test_classification_labels(s3, q8, d16, class3_p2):
