@@ -38,8 +38,6 @@ from .engel import (
     engel_bracket,
     is_left_n_engel,
     is_n_engel_group,
-    is_right_n_engel,
-    right_engel_set,
 )
 from .presentation import (
     GroupPresentation,

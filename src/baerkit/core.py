@@ -23,15 +23,21 @@ words, kept as a uint8 letter matrix, one flat gather per letter.
 
 Subgroups are plain element sets with a remembered generating list;
 closures are grown one right coset at a time (Dimino's algorithm).
-normal_closure(gens, ambient) closes a generating list under the
-ambient's conjugation in one such build, and the series, quotients,
-direct products and Sylow parts below all work on these two types.
+Each group keeps a subgroup table, so Subgroup.generated closes a
+subgroup once per group (the cyclic extension method, Holt, Eick and
+O'Brien 2005): every <x> is closed once by powering and shared by the
+x^k with k prime to |x|, every element set has one canonical Subgroup,
+and each join <H, x> is memoized by the pair (H, <x>), so a generating
+list extends the memoized subgroup of its prefix.  normal_closure(gens,
+ambient) closes a generating list under the ambient's conjugation in one
+build, and the series, quotients, direct products and Sylow parts below
+all work on these two types.
 """
 
 from __future__ import annotations
 
 import functools
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -130,6 +136,10 @@ class ConcreteGroup:
         self._frattini: dict[int, Subgroup] = {}  # frattini_p_group, by p
         self._cyclic_defects: dict = {}  # subnormal.cyclic_defect, by <x>
         self._left_engel: dict = {}  # engel._is_left_engel, by class rep
+        # The subgroup table, filled by Subgroup.cyclic and Subgroup.generated.
+        self._cyclic: list[Subgroup | None] = [None] * n  # <x>, per element x
+        self._subgroups: dict[frozenset, Subgroup] = {}  # by element set
+        self._joins: dict[tuple, Subgroup] = {}  # <H, x>, by (H, <x>) sets
         # Results computed once per group, each by the function named.
         self._defect_scan: list | None = None  # subnormal._defect_scan
         self._report = None  # subnormal.classify
@@ -522,12 +532,65 @@ class Subgroup:
         return f"<Subgroup of order {self.size} in group of order {self.group.size}>"
 
     @classmethod
+    def _canonical(cls, group: ConcreteGroup, elements, gens) -> "Subgroup":
+        """The group's one Subgroup on these elements; a new element set
+        enters the table with these generators."""
+        sub = cls(group, elements, gens)
+        return group._subgroups.setdefault(sub.elemset, sub)
+
+    @classmethod
+    def cyclic(cls, group: ConcreteGroup, x: int) -> "Subgroup":
+        """<x>, from the group's subgroup table.
+
+        A miss closes <x> by powering, and the one canonical subgroup is
+        then kept for every x^k with k prime to |x|, each of which
+        generates it."""
+        got = group._cyclic[x]
+        if got is None:
+            powers, t = [0], x
+            while t:
+                powers.append(t)
+                t = group.mult(t, x)
+            got = cls._canonical(group, powers, powers[1:2])
+            m = len(powers)
+            for k in range(m):
+                if gcd(k, m) == 1:
+                    group._cyclic[powers[k]] = got
+        return got
+
+    @classmethod
     def generated(cls, group: ConcreteGroup, gens) -> "Subgroup":
-        gens = list(gens)
-        builder = _ClosureBuilder(group)
+        """<gens>, walked left to right through the group's subgroup table.
+
+        Each prefix <g1, ..., gi> is a canonical subgroup of the table.
+        The next generator either lies in it already or joins it with
+        <g(i+1)>; joins are memoized by the pair of element sets, so
+        <g1, g2, g3> extends a memoized <g1, g2>.  A miss grows the
+        prefix by Dimino's cosets, starting from its stored elements.
+        The result carries the requested gens and shares the canonical
+        elements and elemset."""
+        gens = tuple(gens)
+        h = cls.cyclic(group, 0)
         for g in gens:
-            builder.add(g)
-        return cls(group, builder.elements(), gens)
+            if g in h.elemset:
+                continue
+            if h.size == 1:
+                h = cls.cyclic(group, g)
+                continue
+            key = (h.elemset, cls.cyclic(group, g).elemset)
+            joined = group._joins.get(key)
+            if joined is None:
+                builder = _ClosureBuilder(group, h)
+                builder.add(g)
+                joined = group._joins[key] = cls._canonical(
+                    group, builder._elems, builder.gens)
+            h = joined
+        if h.gens == gens:
+            return h
+        sub = object.__new__(cls)
+        sub.group, sub.elements, sub.elemset = group, h.elements, h.elemset
+        sub.gens = gens
+        return sub
 
     @classmethod
     def trivial(cls, group: ConcreteGroup) -> "Subgroup":
@@ -566,16 +629,24 @@ class _ClosureBuilder:
     (H*r)*s by walking s over the stored coset H*r.  The closure is
     complete once the representatives are closed under every generator.
     Each generator is walked as the list of extended columns its
-    shallow word names.
+    shallow word names.  A builder may start from a closed subgroup base,
+    whose elements and generators it then holds from the start.
     """
 
-    def __init__(self, group: ConcreteGroup):
+    def __init__(self, group: ConcreteGroup, base: Subgroup | None = None):
         self.group = group
         self.gens: list[int] = []
         self._walks: list[list[list[int]]] = []
         self._elems = [0]
         self._mark = bytearray(group.size)
         self._mark[0] = 1
+        if base is not None:
+            cols, words = group.ext_cols, group.shallow_word
+            self.gens = list(base.gens)
+            self._walks = [[cols[l] for l in words[g]] for g in base.gens]
+            self._elems = list(base.elements)
+            for e in base.elements:
+                self._mark[e] = 1
 
     def __contains__(self, e: int) -> bool:
         return bool(self._mark[e])

@@ -5,10 +5,13 @@ All brackets are left normed: [x, y, z] means [[x, y], z] and
 is ConcreteGroup.comm_with_perm, which tabulates x -> [x, y] for a
 fixed y with the one BFS-tree fill of core (ConcreteGroup._along_tree);
 applying that table n times computes [x, n*y] for every x at once, so
-Engel conditions reduce to a few vectorized passes per y.  The least n
-with [x, n*y] = 1 for every x (y's left-Engel length) is a class
-invariant, kept per class representative on the group, so left-Engel
-questions about one group share their tables whatever n they ask.
+Engel conditions reduce to a few vectorized passes per y.  A group of
+nilpotency class c is n-Engel for every n >= c, so such questions are
+answered from the (memoized) class with no table at all.  Below the
+class, the least n with [x, n*y] = 1 for every x (y's left-Engel length)
+is a class invariant, kept per class representative on the group, so
+left-Engel questions about one group share their tables whatever n they
+ask.
 
 The identity checks and engel_bracket run on core's batched arithmetic
 (ConcreteGroup.mult_batch and friends) over all input tuples at once; a
@@ -27,7 +30,6 @@ import numpy as np
 from .core import (
     ConcreteGroup,
     GroupError,
-    Subgroup,
     derived_subgroup,
     is_metabelian,
     nilpotency_class,
@@ -38,9 +40,6 @@ __all__ = [
     "IdentityCheck",
     "engel_bracket",
     "is_left_n_engel",
-    "is_right_n_engel",
-    "right_engel_elements",
-    "right_engel_set",
     "is_n_engel_group",
     "check_metabelian_identities",
     "check_expansion_formula",
@@ -117,14 +116,19 @@ def _iterated(perm: np.ndarray, n: int) -> np.ndarray:
 
 
 def _is_left_engel(group: ConcreteGroup, x: int, n: int) -> bool:
-    """Whether [g, n*x] = 1 for every g, through the group's memo of
-    left-Engel lengths.
+    """Whether [g, n*x] = 1 for every g, from the group's nilpotency class
+    or through its memo of left-Engel lengths.
 
-    The memo is kept per class representative, since the length is
-    conjugation invariant: [g, n*(x^h)] = [g^(h^-1), n*x]^h.  An entry
+    In a group of class c <= n, [g, n*x] lies in gamma_(n+1)(G) = 1, so
+    the (memoized) class answers with no table and no memo entry.
+    Otherwise the memo is kept per class representative, since the length
+    is conjugation invariant: [g, n*(x^h)] = [g^(h^-1), n*x]^h.  An entry
     (k, True) says k is the least such n, which answers every n; an
     entry (k, False) says some [g, k*x] is not 1, which answers only
     n <= k.  Anything else iterates a fresh bracket table up to n."""
+    cls = nilpotency_class(group)
+    if cls is not None and cls <= n:
+        return True
     r = group._class_rep[x]
     k, exact = group._left_engel.get(r, (0, False))
     if not exact and k < n:
@@ -153,57 +157,15 @@ def is_left_n_engel(group: ConcreteGroup, x: int, n: int) -> EngelReport:
     return EngelReport("left", n, False, subject, witness)
 
 
-def is_right_n_engel(group: ConcreteGroup, x: int, n: int) -> EngelReport:
-    """Whether [x, g, ..., g] = 1 (n copies of g) for every g, by one
-    batched bracket against every g; the witness is the least failing g."""
-    subject = str(group.element_word(x))
-    bad = engel_bracket(group, x, np.arange(group.size), n) != 0
-    if not bad.any():
-        return EngelReport("right", n, True, subject)
-    witness = (subject, str(group.element_word(int(np.argmax(bad)))))
-    return EngelReport("right", n, False, subject, witness)
-
-
-def right_engel_elements(group: ConcreteGroup, n: int) -> list[int]:
-    """All x with [x, g, ..., g] = 1 (n copies) for every g.
-
-    Conjugating g moves the bracket by [x, n*(g^h)] = [x^(h^-1), n*g]^h.
-    So for each class representative r the mask of x killed by r comes
-    out of one bracket table, and an element qualifies exactly when its
-    whole conjugacy class survives every representative's mask."""
-    if n < 1:
-        raise GroupError("n must be at least 1")
-    ok = np.ones(group.size, dtype=bool)
-    for r in group.class_reps():
-        ok &= _iterated(group.comm_with_perm(r), n) == 0
-    out = np.zeros(group.size, dtype=bool)
-    for cl in group.conjugacy_classes():
-        arr = np.array(cl, dtype=np.int64)
-        if ok[arr].all():
-            out[arr] = True
-    return [int(e) for e in np.flatnonzero(out)]
-
-
-def right_engel_set(group: ConcreteGroup, n: int) -> Subgroup:
-    """The right n-Engel elements as a subgroup.
-
-    Raises GroupError when the element set is not closed under
-    multiplication, i.e. when it fails to be a subgroup at all."""
-    elems = right_engel_elements(group, n)
-    try:
-        return Subgroup.from_elements(group, elems)
-    except GroupError:
-        raise GroupError(
-            f"the {len(elems)} right {n}-Engel elements do not form a subgroup"
-        )
-
-
 def is_n_engel_group(group: ConcreteGroup, n: int) -> EngelReport:
     """Whether [x, y, ..., y] = 1 (n copies of y) for all x and y.
 
-    y runs over class representatives only, which decides the same
-    question: [x, n*(y^h)] = [x^(h^-1), n*y]^h and x^(h^-1) ranges over
-    the whole group as x does."""
+    A group of nilpotency class at most n holds with no bracket table
+    (see _is_left_engel).  Otherwise y runs over class representatives
+    only, which decides the same question: [x, n*(y^h)] =
+    [x^(h^-1), n*y]^h and x^(h^-1) ranges over the whole group as x
+    does; the witness of a failure is the least failing x for the first
+    failing representative."""
     if n < 1:
         raise GroupError("n must be at least 1")
     for y in group.class_reps():

@@ -13,7 +13,9 @@ syllable limit, a product, a power of a longer word or a commutator that
 would write out more syllables than the limit is refused before it is
 written out.  A syllable is a generator with its exponent, so
 ``a^1000000000`` is one; the count is taken before free reduction, since
-the unreduced word is what gets written.
+the unreduced word is what gets written.  The limit covers the whole
+presentation: a new word counts together with the syllables of every
+relator already written, the ``u*v^-1`` relators of chains included.
 """
 
 from __future__ import annotations
@@ -201,12 +203,24 @@ class _Parser:
         self.depth = 0
         self.generators = generators
         self.max_syllables = max_syllables
+        self.written = 0  # syllables in the relators stored so far
 
     def fits(self, syllables: int, pos: int):
-        """Refuse a word of `syllables` syllables before writing it out."""
-        if self.max_syllables is not None and syllables > self.max_syllables:
-            raise WordLimitError(f"a word of {syllables} syllables exceeds the "
-                                 f"limit of {self.max_syllables} (at offset {pos})")
+        """Refuse a word of `syllables` syllables before writing it out
+        when, with the relators already written, it passes the limit."""
+        if (self.max_syllables is not None
+                and self.written + syllables > self.max_syllables):
+            earlier = (f" after {self.written} in earlier relators"
+                       if self.written else "")
+            raise WordLimitError(
+                f"a word of {syllables} syllables{earlier} exceeds the "
+                f"limit of {self.max_syllables} (at offset {pos})")
+
+    def store(self, relators: list, w: "Word"):
+        """Append w, freely reduced, and count its syllables as written."""
+        w = free_reduce(w)
+        relators.append(w)
+        self.written += len(w.syllables)
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", len(self.text))
@@ -304,8 +318,9 @@ def parse_presentation(text: str,
 
     Raises PresentationError (offset-annotated) on syntax errors,
     undeclared generators, zero exponent literals and more than
-    MAX_GENERATORS generators, and WordLimitError
-    past max_syllables.
+    MAX_GENERATORS generators, and WordLimitError when the
+    presentation's relators would write out more than max_syllables
+    syllables in all.
     """
     p = _Parser(text, max_syllables=max_syllables)
     kind, val, pos = p.next()
@@ -336,13 +351,15 @@ def parse_presentation(text: str,
 
     relators: list[Word] = []
     while True:
+        pos = p.peek()[2]
         chain = p.relation()
         if len(chain) == 1:
-            relators.append(free_reduce(chain[0]))
+            p.store(relators, chain[0])
         else:
             last = chain[-1]
             for w in chain[:-1]:
-                relators.append(free_reduce(w * last.inverse()))
+                p.fits(len(w.syllables) + len(last.syllables), pos)
+                p.store(relators, w * last.inverse())
         if p.peek()[1] == ";":
             p.next()
             continue

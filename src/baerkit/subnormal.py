@@ -105,7 +105,10 @@ def defect(h: Subgroup, ambient) -> DefectResult:
 
 
 def cyclic_defect(group: ConcreteGroup, x: int) -> DefectResult:
-    """Defect of <x> in the whole group, cached by the cyclic subgroup."""
+    """Defect of <x> in the whole group, memoized by the element set of
+    <x>.  Subgroup.generated answers <x> from the group's subgroup table,
+    so <x> is closed at most once, however many of its generators are
+    asked about, and its element set is the one canonical object."""
     sub = Subgroup.generated(group, [x])
     got = group._cyclic_defects.get(sub.elemset)
     if got is None:

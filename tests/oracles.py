@@ -449,3 +449,28 @@ def per_element_cyclic_closure_class(group, *, exhaustive_threshold=2048,
     if mode == "sampled":
         details["seed"] = seed
     return verify._verdict(cid, True, details)
+
+
+# -- right Engel elements ------------------------------------------------------
+
+def right_engel_elements(group, n):
+    """All x with [x, g, ..., g] = 1 (n copies of g) for every g.
+
+    Conjugating g moves the bracket by [x, n*(g^h)] = [x^(h^-1), n*g]^h.
+    So for each class representative r the mask of x killed by r comes
+    out of one bracket table, and an element qualifies exactly when its
+    whole conjugacy class survives every representative's mask."""
+    import numpy as np
+
+    ok = np.ones(group.size, dtype=bool)
+    for r in group.class_reps():
+        perm = group.comm_with_perm(r)
+        cur = perm
+        for _ in range(n - 1):
+            cur = perm[cur]
+        ok &= cur == 0
+    out = []
+    for cl in group.conjugacy_classes():
+        if ok[cl].all():
+            out += cl
+    return sorted(out)

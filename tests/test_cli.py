@@ -1,9 +1,11 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -345,8 +347,57 @@ def test_long_word_in_a_corpus_or_defect_word_exits_with_limit_error(
     assert "exceeds the limit of 100" in out.stderr
 
 
+def test_relators_past_the_limit_together_exit_with_limit_error(tmp_path):
+    # Twenty relators each just under the limit stop at the second, before
+    # the rest are written out.  --max-cosets sets the limit.
+    path = tmp_path / "many.txt"
+    rels = "; ".join(["((a*b)^100)^99"] * 20)
+    path.write_text(f"gens: a, b; rels: {rels}\n")
+    out = run_cli("analyze", str(path), "--max-cosets", "20000")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith(
+        "error: a word of 19800 syllables after 19800 in earlier relators")
+    # S3, with 14 syllables in all.
+    path.write_text("gens: a, b; rels: a^2; b^2; (a*b)^3; (b*a)^3\n")
+    out = run_cli("analyze", str(path), "--max-cosets", "13")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "after 8 in earlier relators exceeds the limit of 13" in out.stderr
+    out = run_cli("analyze", str(path), "--max-cosets", "14")
+    assert out.returncode == 0
+
+
+def _pinned(out, digest):
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
 def test_check_theorems_json_report_bytes_are_pinned():
     out = run_cli("check-theorems", "--format", "json", "--seed", "1234")
-    assert out.returncode == 0
-    assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-        "b31d497eac11624a0272006522218e222f1e9437844552561617b527df690142")
+    _pinned(out,
+            "b31d497eac11624a0272006522218e222f1e9437844552561617b527df690142")
+
+
+def test_corpus_mixed_report_bytes_are_pinned(tmp_path, monkeypatch):
+    # The benchmark's corpus-mixed input for seed 1, generated by its own
+    # (read-only) workload module.  Its dataclasses need it in sys.modules.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    text, _ = workloads.generate_mixed_corpus(1)
+    corpus = tmp_path / "corpus-mixed.txt"
+    corpus.write_text(text, encoding="utf-8")
+    out = run_cli("check-theorems", "--format", "json", "--corpus",
+                  str(corpus), "--seed", str(workloads._program_seed(1)))
+    _pinned(out,
+            "47fd043bf8cfd81b19112e0ddb0cdc17c776fbdaf9c3af3b05811af18fd335fa")
+
+
+@pytest.mark.parametrize("primes, digest", [
+    ((), "ec41fc157c1e1e404804d3b9d8a3b21c4e11a92bdfe0287de94b35e2eed81ee8"),
+    (("--primes", "7"),
+     "9e7f6a1ea5ad4813d3ba093a2dd2a786b0f33f4a335c6909479f02c3a9b1cd8c"),
+], ids=["default", "p7"])
+def test_verify_examples_json_report_bytes_are_pinned(primes, digest):
+    _pinned(run_cli("verify-examples", *primes, "--format", "json"), digest)

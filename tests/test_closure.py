@@ -7,6 +7,7 @@ closure has to drop generators that are already inside it.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -24,13 +25,21 @@ from baerkit.subnormal import classify, t_n_within
 from baerkit.verify import (
     build_group,
     check_cyclic_closure_class,
+    check_generated_subgroup_class,
     class3_p_group_presentation,
+    cyclic_presentation,
     dihedral_presentation,
+    quaternion_presentation,
+    symmetric_presentation,
 )
 
 from oracles import naive_closure, naive_normal_closure
 
 CASES = [("d16", 8), ("s4", 8), ("class3_p5", 3)]
+
+P2 = class3_p_group_presentation(2)
+P3 = class3_p_group_presentation(3)
+D16 = dihedral_presentation(16)
 
 
 def _gen_lists(group, seed, count):
@@ -62,6 +71,49 @@ def test_generated_matches_naive_closure(request, name, count):
         assert sub.elemset == naive_closure(group, gens)
         assert list(sub.elements) == sorted(sub.elemset)
         assert sub.gens == tuple(gens)
+
+
+@pytest.mark.parametrize("presentation,arity", [
+    pytest.param(symmetric_presentation(4), 2, id="s4-pairs"),
+    pytest.param(D16, 2, id="d16-pairs"),
+    pytest.param(quaternion_presentation(), 2, id="q8-pairs"),
+    pytest.param(dihedral_presentation(8), 3, id="d8-triples"),
+    pytest.param(quaternion_presentation(), 3, id="q8-triples"),
+])
+def test_generated_matches_naive_closure_on_every_tuple(presentation, arity):
+    # A fresh group, so the subgroup table fills while the tuples run.
+    group = build_group(presentation)
+    for gens in product(range(group.size), repeat=arity):
+        sub = Subgroup.generated(group, gens)
+        assert sub.elemset == naive_closure(group, gens), gens
+        assert sub.gens == gens
+
+
+@pytest.mark.parametrize("presentation", [
+    symmetric_presentation(4), cyclic_presentation(12), P2])
+def test_cyclic_table_holds_each_cyclic_subgroup(presentation):
+    group = build_group(presentation)
+    for x in range(group.size):
+        Subgroup.cyclic(group, x)
+    for x in range(group.size):
+        assert group._cyclic[x].elemset == naive_closure(group, [x])
+    # One object per cyclic subgroup, whichever generator found it.
+    distinct = {c.elemset for c in group._cyclic}
+    assert len({id(c) for c in group._cyclic}) == len(distinct)
+
+
+def test_generating_lists_of_one_subgroup_share_its_element_set(d16, q8):
+    r, s = d16.generator_elements()
+    a = Subgroup.generated(d16, [r, s])
+    b = Subgroup.generated(d16, [s, d16.mult(r, s), 0])
+    assert a.elemset is b.elemset and a.elements is b.elements
+    assert (a.gens, b.gens) == ((r, s), (s, d16.mult(r, s), 0))
+    i, j = q8.generator_elements()
+    k = q8.mult(i, j)
+    subs = [Subgroup.generated(q8, g) for g in ([i, j], [j, k], [k, i, j])]
+    assert len({id(sub.elemset) for sub in subs}) == 1
+    assert Subgroup.cyclic(q8, i).elemset is Subgroup.generated(
+        q8, [q8.inv(i)]).elemset
 
 
 @pytest.mark.parametrize("name,count", CASES)
@@ -112,10 +164,6 @@ def test_normal_closure_rejects_generators_outside_the_ambient(d16):
         normal_closure([s], rotations)
 
 
-P3 = class3_p_group_presentation(3)
-D16 = dihedral_presentation(16)
-
-
 def _t2_within_d8(group):
     # T_2 inside the dihedral subgroup <s, r^2> of order 8.
     r, s = group.generator_elements()
@@ -126,23 +174,29 @@ def _t2_within_d8(group):
     pytest.param(P3, lower_central_series, 3, id="p3-lower-central"),
     pytest.param(P3, derived_series, 2, id="p3-derived"),
     pytest.param(P3, lambda g: frattini_p_group(g, 3), 1, id="p3-frattini"),
-    pytest.param(D16, classify, 28, id="d16-classify"),
-    pytest.param(D16, check_cyclic_closure_class, 28,
+    pytest.param(D16, classify, 16, id="d16-classify"),
+    pytest.param(D16, check_cyclic_closure_class, 16,
                  id="d16-cyclic-closure-class"),
-    pytest.param(class3_p_group_presentation(2), check_cyclic_closure_class,
-                 81, id="p2-cyclic-closure-class"),
-    pytest.param(D16, _t2_within_d8, 12, id="d16-t2-within"),
+    pytest.param(P2, check_cyclic_closure_class, 52,
+                 id="p2-cyclic-closure-class"),
+    pytest.param(D16, _t2_within_d8, 8, id="d16-t2-within"),
+    # S4's T_2 is the whole group, so the check stops after classify.
+    pytest.param(symmetric_presentation(4), check_generated_subgroup_class,
+                 16, id="s4-generated-subgroup-class"),
+    pytest.param(P2, check_generated_subgroup_class, 100,
+                 id="p2-generated-subgroup-class"),
 ])
 def test_closures_built_per_computation(monkeypatch, presentation, run,
                                         builders):
-    # Each normal closure is one build from its generating list; a fresh
-    # group has no memo to answer from.
+    # Each normal closure is one build from its generating list, and so is
+    # each join the subgroup table misses (cyclic subgroups are powered,
+    # not built); a fresh group has no memo to answer from.
     built = []
 
     class Counting(_ClosureBuilder):
-        def __init__(self, group):
+        def __init__(self, group, *base):
             built.append(group)
-            super().__init__(group)
+            super().__init__(group, *base)
 
     group = build_group(presentation)
     monkeypatch.setattr(core, "_ClosureBuilder", Counting)

@@ -1,24 +1,24 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from baerkit import engel
-from baerkit.core import ConcreteGroup, GroupError, nilpotency_class
+from baerkit.core import ConcreteGroup, GroupError, Subgroup, nilpotency_class
 from baerkit.engel import (
     _inputs,
+    _iterated,
     check_expansion_formula,
     check_metabelian_identities,
     engel_bracket,
     is_left_n_engel,
     is_n_engel_group,
-    is_right_n_engel,
-    right_engel_elements,
-    right_engel_set,
 )
 from baerkit.presentation import parse_word
 from baerkit.verify import (
     alternating4_presentation,
+    build_class4_2group,
     build_group,
     class3_p_group_presentation,
     cyclic_presentation,
@@ -26,7 +26,11 @@ from baerkit.verify import (
     symmetric_presentation,
 )
 
-from oracles import scalar_expansion_formula, scalar_metabelian_identities
+from oracles import (
+    right_engel_elements,
+    scalar_expansion_formula,
+    scalar_metabelian_identities,
+)
 
 
 def naive_engel_bracket(group, x, y, n):
@@ -103,28 +107,86 @@ def test_left_engel_memo_answers_like_a_direct_scan_in_any_order(order):
                         str(group.element_word(x)))
 
 
-def test_engel_group_answers_from_the_memo(monkeypatch):
-    group = build_group(class3_p_group_presentation(3))
+def _counting_tables(monkeypatch):
     calls = []
     real = ConcreteGroup.comm_with_perm
     monkeypatch.setattr(ConcreteGroup, "comm_with_perm",
                         lambda self, y: calls.append(y) or real(self, y))
+    return calls
+
+
+def test_engel_group_answers_from_the_memo(monkeypatch):
+    # class4-2group has class 4, so n = 3 takes the bracket tables: one per
+    # class representative, after which the memo answers every n.
+    group = build_class4_2group()
+    calls = _counting_tables(monkeypatch)
     assert is_n_engel_group(group, 3).holds
     assert len(calls) == len(group.class_reps())
     calls.clear()
+    assert is_n_engel_group(group, 3).holds
     assert is_n_engel_group(group, 6).holds
-    assert is_left_n_engel(group, group.size - 1, 4).holds
+    assert is_left_n_engel(group, group.size - 1, 3).holds
     assert calls == []
+
+
+def test_engel_questions_at_or_past_the_class_build_no_table(monkeypatch):
+    group = build_group(class3_p_group_presentation(3))
+    assert nilpotency_class(group) == 3
+    calls = _counting_tables(monkeypatch)
+    for n in (3, 6):
+        assert is_n_engel_group(group, n).holds
+        assert is_left_n_engel(group, group.size - 1, n).holds
+    assert calls == []
+    assert group._left_engel == {}
+
+
+def _table_holds(group, y, n):
+    """[x, n*y] = 1 for every x, from y's bracket table with no shortcut."""
+    return not _iterated(group.comm_with_perm(y), n).any()
+
+
+def test_engel_answers_match_the_table_scan_on_the_corpus(corpus_groups):
+    for name, group in corpus_groups:
+        reps = group.class_reps()
+        for n in range(1, 7):
+            table = [_table_holds(group, y, n) for y in reps]
+            for y, holds in zip(reps, table):
+                assert is_left_n_engel(group, y, n).holds == holds, (name, n, y)
+            report = is_n_engel_group(group, n)
+            assert report.holds == all(table), (name, n)
+            if not report.holds:
+                y = reps[table.index(False)]
+                x = int(np.flatnonzero(_iterated(group.comm_with_perm(y), n))[0])
+                assert report.witness == (str(group.element_word(x)),
+                                          str(group.element_word(y)))
+
+
+@pytest.mark.parametrize("presentation, n", [
+    (symmetric_presentation(4), 2), (dihedral_presentation(16), 2),
+    (None, 3)], ids=["s4", "d16", "class4-2group"])
+def test_bracket_tables_still_answer_below_the_class(monkeypatch,
+                                                     presentation, n):
+    # A fresh group each, so its memo starts empty.
+    group = (build_group(presentation) if presentation
+             else build_class4_2group())
+    calls = _counting_tables(monkeypatch)
+    reps = group.class_reps()
+    want = [_table_holds(group, y, n) for y in reps]
+    calls.clear()
+    assert is_n_engel_group(group, n).holds == all(want)
+    assert calls
+    assert [is_left_n_engel(group, y, n).holds for y in reps] == want
 
 
 def test_right_engel_report_agrees_with_direct_scan(d16, s3):
     for group in (d16, s3):
-        for x in range(group.size):
-            for n in (1, 2, 3):
+        for n in (1, 2, 3):
+            right = set(right_engel_elements(group, n))
+            for x in range(group.size):
                 direct = all(
-                    engel_bracket(group, x, g, n) == 0
+                    naive_engel_bracket(group, x, g, n) == 0
                     for g in range(group.size))
-                assert is_right_n_engel(group, x, n).holds == direct
+                assert (x in right) == direct
 
 
 def test_right_engel_elements_match_direct_scan(d16, s3, q8):
@@ -140,7 +202,9 @@ def test_right_engel_elements_match_direct_scan(d16, s3, q8):
 
 def test_right_one_engel_elements_form_the_center(q8, d16):
     for group in (q8, d16):
-        sub = right_engel_set(group, 1)
+        elems = right_engel_elements(group, 1)
+        sub = Subgroup.from_elements(group, elems)
+        assert sub.elemset == set(elems)
         assert all(
             group.mult(a, g) == group.mult(g, a)
             for a in sub.elements for g in range(group.size))

@@ -213,6 +213,28 @@ def test_single_syllable_powers_are_not_counted_against_the_limit():
         Word((("b", 1), ("a", 1000000000), ("b", 1)))
 
 
+def test_the_syllable_limit_covers_the_whole_presentation():
+    # Each relator fits the limit of 10; together they do not.
+    assert len(parse_presentation("gens: a, b; rels: (a*b)^2; (a*b)^3",
+                                  max_syllables=10).relators) == 2
+    with pytest.raises(WordLimitError,
+                       match="4 syllables after 8 in earlier relators"):
+        parse_presentation("gens: a, b; rels: (a*b)^2; (a*b)^2; (a*b)^2",
+                           max_syllables=10)
+    # A chain u = v writes u*v^-1, which counts both words.
+    assert parse_presentation("gens: a, b; rels: a*b*a = b*a*b",
+                              max_syllables=6).relators == (
+        parse_word("a*b*a*b^-1*a^-1*b^-1", ("a", "b")),)
+    with pytest.raises(WordLimitError, match="a word of 6 syllables"):
+        parse_presentation("gens: a, b; rels: a*b*a = b*a*b",
+                           max_syllables=5)
+    # u = v = w writes u*w^-1 (5 syllables), then v*w^-1 counts 5 more.
+    with pytest.raises(WordLimitError,
+                       match="a word of 5 syllables after 5 in earlier"):
+        parse_presentation("gens: a, b; rels: a*b*a = b*a*b = a*b",
+                           max_syllables=9)
+
+
 def test_generator_count_is_limited():
     def text(k):
         return f"gens: {', '.join(f'g{i}' for i in range(k))}; rels: g0^2"
