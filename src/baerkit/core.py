@@ -21,17 +21,16 @@ one numpy assignment per (depth, letter) bucket.  Arithmetic on whole
 index arrays (mult_batch, comm_batch, power_batch) walks the shallow
 words, kept as a uint8 letter matrix, one flat gather per letter.
 
-Subgroups are plain element sets with a remembered generating list;
-closures are grown one right coset at a time (Dimino's algorithm).
-Each group keeps a subgroup table, so Subgroup.generated closes a
-subgroup once per group (the cyclic extension method, Holt, Eick and
-O'Brien 2005): every <x> is closed once by powering and shared by the
-x^k with k prime to |x|, every element set has one canonical Subgroup,
-and each join <H, x> is memoized by the pair (H, <x>), so a generating
-list extends the memoized subgroup of its prefix.  normal_closure(gens,
-ambient) closes a generating list under the ambient's conjugation in one
-build, and the series, quotients, direct products and Sylow parts below
-all work on these two types.
+Subgroups are plain element sets with a remembered generating list.
+Each group keeps a subgroup table, and every subgroup is grown through
+it, one generator at a time (the cyclic extension method, Holt, Eick
+and O'Brien 2005): every <x> is closed once by powering and shared by
+the x^k with k prime to |x|, every element set has one canonical
+Subgroup, and each join <H, x> is memoized by the pair (H, <x>); a miss
+grows H by whole right cosets (Dimino's algorithm).  Subgroup.generated,
+Subgroup.from_elements and normal_closure(gens, ambient) all walk their
+generators through these joins, and the series, quotients, direct
+products and Sylow parts below all work on these two types.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ class ConcreteGroup:
         self._frattini: dict[int, Subgroup] = {}  # frattini_p_group, by p
         self._cyclic_defects: dict = {}  # subnormal.cyclic_defect, by <x>
         self._left_engel: dict = {}  # engel._is_left_engel, by class rep
-        # The subgroup table, filled by Subgroup.cyclic and Subgroup.generated.
+        # The subgroup table, filled by Subgroup.cyclic and _join.
         self._cyclic: list[Subgroup | None] = [None] * n  # <x>, per element x
         self._subgroups: dict[frozenset, Subgroup] = {}  # by element set
         self._joins: dict[tuple, Subgroup] = {}  # <H, x>, by (H, <x>) sets
@@ -562,39 +561,26 @@ class Subgroup:
     def generated(cls, group: ConcreteGroup, gens) -> "Subgroup":
         """<gens>, walked left to right through the group's subgroup table.
 
-        Each prefix <g1, ..., gi> is a canonical subgroup of the table.
-        The next generator either lies in it already or joins it with
-        <g(i+1)>; joins are memoized by the pair of element sets, so
-        <g1, g2, g3> extends a memoized <g1, g2>.  A miss grows the
-        prefix by Dimino's cosets, starting from its stored elements.
-        The result carries the requested gens and shares the canonical
-        elements and elemset."""
+        Each prefix <g1, ..., gi> is a canonical subgroup of the table,
+        and the next generator either lies in it already or joins it
+        (_join), so <g1, g2, g3> extends a memoized <g1, g2>.  The result
+        carries the requested gens and shares the canonical elements and
+        elemset."""
         gens = tuple(gens)
-        h = cls.cyclic(group, 0)
-        for g in gens:
-            if g in h.elemset:
-                continue
-            if h.size == 1:
-                h = cls.cyclic(group, g)
-                continue
-            key = (h.elemset, cls.cyclic(group, g).elemset)
-            joined = group._joins.get(key)
-            if joined is None:
-                builder = _ClosureBuilder(group, h)
-                builder.add(g)
-                joined = group._joins[key] = cls._canonical(
-                    group, builder._elems, builder.gens)
-            h = joined
-        if h.gens == gens:
-            return h
-        sub = object.__new__(cls)
-        sub.group, sub.elements, sub.elemset = group, h.elements, h.elemset
+        return _adjoin(cls.trivial(group), gens, [])._with_gens(gens)
+
+    def _with_gens(self, gens: tuple) -> "Subgroup":
+        """This subgroup's elements and elemset under a generating list."""
+        if self.gens == gens:
+            return self
+        sub = object.__new__(Subgroup)
+        sub.group, sub.elements, sub.elemset = self.group, self.elements, self.elemset
         sub.gens = gens
         return sub
 
     @classmethod
     def trivial(cls, group: ConcreteGroup) -> "Subgroup":
-        return cls(group, [0], [])
+        return cls.cyclic(group, 0)
 
     @classmethod
     def whole(cls, group: ConcreteGroup) -> "Subgroup":
@@ -602,97 +588,70 @@ class Subgroup:
 
     @classmethod
     def from_elements(cls, group: ConcreteGroup, elements) -> "Subgroup":
-        """Wrap an already-closed element set, picking a small generating list."""
-        elemset = frozenset(elements)
-        builder = _ClosureBuilder(group)
-        for e in sorted(elemset):
-            builder.add(e)
-            if builder.size > len(elemset):
-                raise GroupError("element set is not closed under multiplication")
-        if builder.size != len(elemset):
+        """Wrap an already-closed element set.  Its generating list is
+        each element, in increasing order, that lay outside the closure
+        of those before it."""
+        elemset, gens = frozenset(elements), []
+        h = _adjoin(cls.trivial(group), sorted(elemset), gens)
+        if h.size != len(elemset):
             raise GroupError("element set is not closed under multiplication")
-        return cls(group, elemset, builder.gens)
+        return h._with_gens(tuple(gens))
 
 
-class _ClosureBuilder:
-    """Grows the closure of a generating list one generator at a time.
+def _adjoin(h: Subgroup, elements, kept: list) -> Subgroup:
+    """h joined with each of elements in turn (_join); those that lay
+    outside the closure so far are appended to kept."""
+    for g in elements:
+        if g not in h.elemset:
+            h = _join(h.group, h, g)
+            kept.append(g)
+    return h
 
-    This is Dimino's algorithm.  The closed subgroup H is kept as a list
-    of its elements, with membership marked in a bytearray.  Generators
-    already inside H are dropped, which keeps generating lists short (at
-    most log2 of the subgroup order additions).  The first generator is
-    closed by powering.  Adjoining a later generator grows H to <H, g> by
-    whole right cosets: the list holds H and then each new coset H*t,
-    stored contiguously and led by its representative t.  For every
-    representative r and every generator s, only the single element
-    t = r*s is walked; if t is unmarked, the coset H*t is added as
-    (H*r)*s by walking s over the stored coset H*r.  The closure is
-    complete once the representatives are closed under every generator.
-    Each generator is walked as the list of extended columns its
-    shallow word names.  A builder may start from a closed subgroup base,
-    whose elements and generators it then holds from the start.
-    """
 
-    def __init__(self, group: ConcreteGroup, base: Subgroup | None = None):
-        self.group = group
-        self.gens: list[int] = []
-        self._walks: list[list[list[int]]] = []
-        self._elems = [0]
-        self._mark = bytearray(group.size)
-        self._mark[0] = 1
-        if base is not None:
-            cols, words = group.ext_cols, group.shallow_word
-            self.gens = list(base.gens)
-            self._walks = [[cols[l] for l in words[g]] for g in base.gens]
-            self._elems = list(base.elements)
-            for e in base.elements:
-                self._mark[e] = 1
+def _join(group: ConcreteGroup, h: Subgroup, g: int) -> Subgroup:
+    """<h, g> for a canonical subgroup h and an element g outside it, from
+    the group's subgroup table: <g> itself when h is trivial, else the
+    join memoized by the pair of element sets (h, <g>).
 
-    def __contains__(self, e: int) -> bool:
-        return bool(self._mark[e])
-
-    @property
-    def size(self) -> int:
-        return len(self._elems)
-
-    def add(self, g: int) -> bool:
-        """Adjoin g as a generator; False if it was already inside."""
-        mark = self._mark
-        if mark[g]:
-            return False
-        cols = self.group.ext_cols
-        elems = self._elems
-        walk = [cols[l] for l in self.group.shallow_word[g]]
-        self.gens.append(g)
-        self._walks.append(walk)
+    A miss grows h by Dimino's cosets.  The list holds h's elements and
+    then each new right coset h*t, stored contiguously and led by its
+    representative t.  For every representative r and every generator s
+    of h and g, only the single element t = r*s is walked; if t is
+    unmarked, the coset h*t is added as (h*r)*s by walking s over the
+    stored coset h*r.  The closure is complete once the representatives
+    are closed under every generator.  Each generator is walked as the
+    list of extended columns its shallow word names."""
+    cyc = Subgroup.cyclic(group, g)
+    if h.size == 1:
+        return cyc
+    key = (h.elemset, cyc.elemset)
+    joined = group._joins.get(key)
+    if joined is None:
+        cols, words = group.ext_cols, group.shallow_word
+        gens = h.gens + (g,)
+        walks = [[cols[l] for l in words[s]] for s in gens]
+        elems = list(h.elements)
+        mark = bytearray(group.size)
+        for e in elems:
+            mark[e] = 1
         m = len(elems)
-        if m == 1:
-            t = g
-            while not mark[t]:
-                mark[t] = 1
-                elems.append(t)
-                for col in walk:
-                    t = col[t]
-            return True
         start = 0
         while start < len(elems):
             r = elems[start]
-            for s in self._walks:
+            for walk in walks:
                 t = r
-                for col in s:
+                for col in walk:
                     t = col[t]
                 if mark[t]:
                     continue
                 for x in elems[start:start + m]:
-                    for col in s:
+                    for col in walk:
                         x = col[x]
                     mark[x] = 1
                     elems.append(x)
             start += m
-        return True
-
-    def elements(self) -> list[int]:
-        return sorted(self._elems)
+        joined = group._joins[key] = Subgroup._canonical(group, elems, gens)
+    return joined
 
 
 def _as_subgroup(g) -> Subgroup:
@@ -707,26 +666,22 @@ def normal_closure(gens, ambient) -> Subgroup:
     """Smallest subgroup of the ambient containing gens and closed under
     its conjugation.  Conjugating generators by generators suffices: both
     sets generate, and conjugation by a fixed element permutes a finite
-    subgroup."""
+    subgroup.  The result's generating list is the generators and
+    conjugates that joined the closure (_adjoin), in order."""
     amb = _as_subgroup(ambient)
     group = amb.group
     gens = list(gens)
     if not amb.elemset.issuperset(gens):
         raise GroupError("generators are not contained in the ambient subgroup")
-    builder = _ClosureBuilder(group)
-    for g in gens:
-        builder.add(g)
+    work = []
+    h = _adjoin(Subgroup.trivial(group), gens, work)
     kgens = list(dict.fromkeys(amb.gens))
-    work = list(builder.gens)
     i = 0
     while i < len(work):
         x = work[i]
         i += 1
-        for k in kgens:
-            c = group.conj(x, k)
-            if builder.add(c):
-                work.append(c)
-    return Subgroup(group, builder.elements(), builder.gens)
+        h = _adjoin(h, [group.conj(x, k) for k in kgens], work)
+    return h._with_gens(tuple(work))
 
 
 def is_normal_in(h: Subgroup, ambient) -> bool:

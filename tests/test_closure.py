@@ -11,11 +11,9 @@ from itertools import product
 
 import pytest
 
-from baerkit import core
 from baerkit.core import (
     GroupError,
     Subgroup,
-    _ClosureBuilder,
     derived_series,
     frattini_p_group,
     lower_central_series,
@@ -118,16 +116,16 @@ def test_generating_lists_of_one_subgroup_share_its_element_set(d16, q8):
 
 @pytest.mark.parametrize("name,count", CASES)
 def test_builder_keeps_only_generators_outside_the_closure(request, name, count):
+    # Closing <gens> under its own conjugation adds no conjugate, so the
+    # generating list is exactly the generators that joined.
     group = request.getfixturevalue(name)
     for gens in _gen_lists(group, f"builder:{name}", count):
-        builder = _ClosureBuilder(group)
-        added = [builder.add(g) for g in gens]
+        n = normal_closure(gens, Subgroup.generated(group, gens))
         kept, closed = _running_gens(group, gens)
-        assert builder.gens == kept
-        assert added.count(True) == len(kept)
-        assert builder.size == len(closed)
-        assert builder.elements() == sorted(closed)
-        assert all((e in builder) == (e in closed) for e in range(group.size))
+        assert list(n.gens) == kept
+        assert n.size == len(closed)
+        assert list(n.elements) == sorted(closed)
+        assert all((e in n) == (e in closed) for e in range(group.size))
 
 
 @pytest.mark.parametrize("name,count", CASES)
@@ -170,35 +168,52 @@ def _t2_within_d8(group):
     return t_n_within(Subgroup.generated(group, [s, group.power(r, 2)]), 2)
 
 
-@pytest.mark.parametrize("presentation, run, builders", [
-    pytest.param(P3, lower_central_series, 3, id="p3-lower-central"),
-    pytest.param(P3, derived_series, 2, id="p3-derived"),
-    pytest.param(P3, lambda g: frattini_p_group(g, 3), 1, id="p3-frattini"),
-    pytest.param(D16, classify, 16, id="d16-classify"),
-    pytest.param(D16, check_cyclic_closure_class, 16,
+@pytest.mark.parametrize("presentation, run, misses", [
+    pytest.param(P3, lower_central_series, 1, id="p3-lower-central"),
+    pytest.param(P3, derived_series, 1, id="p3-derived"),
+    pytest.param(P3, lambda g: frattini_p_group(g, 3), 2, id="p3-frattini"),
+    pytest.param(D16, classify, 5, id="d16-classify"),
+    pytest.param(D16, check_cyclic_closure_class, 5,
                  id="d16-cyclic-closure-class"),
-    pytest.param(P2, check_cyclic_closure_class, 52,
+    pytest.param(P2, check_cyclic_closure_class, 18,
                  id="p2-cyclic-closure-class"),
-    pytest.param(D16, _t2_within_d8, 8, id="d16-t2-within"),
+    pytest.param(D16, _t2_within_d8, 3, id="d16-t2-within"),
     # S4's T_2 is the whole group, so the check stops after classify.
     pytest.param(symmetric_presentation(4), check_generated_subgroup_class,
-                 16, id="s4-generated-subgroup-class"),
-    pytest.param(P2, check_generated_subgroup_class, 100,
+                 10, id="s4-generated-subgroup-class"),
+    pytest.param(P2, check_generated_subgroup_class, 43,
                  id="p2-generated-subgroup-class"),
 ])
-def test_closures_built_per_computation(monkeypatch, presentation, run,
-                                        builders):
-    # Each normal closure is one build from its generating list, and so is
-    # each join the subgroup table misses (cyclic subgroups are powered,
-    # not built); a fresh group has no memo to answer from.
-    built = []
-
-    class Counting(_ClosureBuilder):
-        def __init__(self, group, *base):
-            built.append(group)
-            super().__init__(group, *base)
-
+def test_closures_built_per_computation(presentation, run, misses):
+    # Each join the subgroup table misses is one build and one new entry
+    # of group._joins (cyclic subgroups are powered, not built); a fresh
+    # group has no memo to answer from.
     group = build_group(presentation)
-    monkeypatch.setattr(core, "_ClosureBuilder", Counting)
     run(group)
-    assert len(built) == builders
+    assert len(group._joins) == misses
+
+
+def test_a_normal_closure_is_filed_once():
+    group = build_group(P3)
+    x, y = group.generator_elements()
+    gens = [group.comm(x, y), group.power(x, 3)]
+    n = normal_closure(gens, group)
+    assert n.elemset is Subgroup.generated(group, n.gens).elemset
+    joins = len(group._joins)
+    again = normal_closure(gens, group)
+    assert len(group._joins) == joins
+    assert again.elemset is n.elemset and again.gens == n.gens
+    # An already-closed set is found in the table, and a second wrap
+    # builds nothing.
+    h = Subgroup.generated(group, [x, group.comm(x, y)])
+    assert Subgroup.from_elements(group, h.elements).elemset is h.elemset
+    assert Subgroup.from_elements(group, n.elements).elemset is n.elemset
+    joins = len(group._joins)
+    Subgroup.from_elements(group, h.elements)
+    assert len(group._joins) == joins
+
+
+def test_trivial_subgroup_is_the_canonical_one(d16):
+    t = Subgroup.trivial(d16)
+    assert t is Subgroup.trivial(d16) is Subgroup.cyclic(d16, 0)
+    assert t.gens == () and t.elements == (0,)
