@@ -27,10 +27,14 @@ it, one generator at a time (the cyclic extension method, Holt, Eick
 and O'Brien 2005): every <x> is closed once by powering and shared by
 the x^k with k prime to |x|, every element set has one canonical
 Subgroup, and each join <H, x> is memoized by the pair (H, <x>); a miss
-grows H by whole right cosets (Dimino's algorithm).  Subgroup.generated,
-Subgroup.from_elements and normal_closure(gens, ambient) all walk their
-generators through these joins, and the series, quotients, direct
-products and Sylow parts below all work on these two types.
+grows H by whole right cosets (Dimino's algorithm).  A miss stops as
+soon as it holds more than |G|/q elements, q the least prime factor of
+|G:H|: every proper subgroup containing H has index at least q
+(Lagrange), so the join is then G, and the answer is exact.
+Subgroup.generated, Subgroup.from_elements and normal_closure(gens,
+ambient) all walk their generators through these joins, and the
+series, quotients, direct products and Sylow parts below all work on
+these two types.
 """
 
 from __future__ import annotations
@@ -620,7 +624,13 @@ def _join(group: ConcreteGroup, h: Subgroup, g: int) -> Subgroup:
     unmarked, the coset h*t is added as (h*r)*s by walking s over the
     stored coset h*r.  The closure is complete once the representatives
     are closed under every generator.  Each generator is walked as the
-    list of extended columns its shallow word names."""
+    list of extended columns its shallow word names.
+
+    The loop stops early once it holds more than |G|/q elements, q the
+    least prime factor of |G:h|: by Lagrange, a proper subgroup K with
+    h <= K < G has |G:K| > 1 dividing |G:h|, so |G:K| >= q and
+    |K| <= |G|/q.  The join is then G itself, filed from the group's
+    shared element ints (a permutation of them is cols[0])."""
     cyc = Subgroup.cyclic(group, g)
     if h.size == 1:
         return cyc
@@ -635,8 +645,9 @@ def _join(group: ConcreteGroup, h: Subgroup, g: int) -> Subgroup:
         for e in elems:
             mark[e] = 1
         m = len(elems)
+        bound = group.size // min(factorize(group.size // m))
         start = 0
-        while start < len(elems):
+        while start < len(elems) <= bound:
             r = elems[start]
             for walk in walks:
                 t = r
@@ -650,6 +661,8 @@ def _join(group: ConcreteGroup, h: Subgroup, g: int) -> Subgroup:
                     mark[x] = 1
                     elems.append(x)
             start += m
+        if len(elems) > bound:
+            elems = group.cols[0]
         joined = group._joins[key] = Subgroup._canonical(group, elems, gens)
     return joined
 

@@ -14,6 +14,7 @@ import pytest
 from baerkit.core import (
     GroupError,
     Subgroup,
+    _join,
     derived_series,
     frattini_p_group,
     lower_central_series,
@@ -21,6 +22,7 @@ from baerkit.core import (
 )
 from baerkit.subnormal import classify, t_n_within
 from baerkit.verify import (
+    alternating4_presentation,
     build_group,
     check_cyclic_closure_class,
     check_generated_subgroup_class,
@@ -75,6 +77,11 @@ def test_generated_matches_naive_closure(request, name, count):
     pytest.param(symmetric_presentation(4), 2, id="s4-pairs"),
     pytest.param(D16, 2, id="d16-pairs"),
     pytest.param(quaternion_presentation(), 2, id="q8-pairs"),
+    # |G:h| has two prime factors in A4 and D12, and A4 has no subgroup
+    # of order 6, so a join there is whole once it passes |G|/2.
+    pytest.param(alternating4_presentation(), 2, id="a4-pairs"),
+    pytest.param(dihedral_presentation(12), 2, id="d12-pairs"),
+    pytest.param(P2, 2, id="p2-pairs"),
     pytest.param(dihedral_presentation(8), 3, id="d8-triples"),
     pytest.param(quaternion_presentation(), 3, id="q8-triples"),
 ])
@@ -85,6 +92,40 @@ def test_generated_matches_naive_closure_on_every_tuple(presentation, arity):
         sub = Subgroup.generated(group, gens)
         assert sub.elemset == naive_closure(group, gens), gens
         assert sub.gens == gens
+
+
+class _CountingColumn(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingColumn.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_a_whole_group_join_stops_past_its_lagrange_bound():
+    # class3-p3 has order 729 and 3 is the least prime of every index, so
+    # a join holding more than 729/3 elements is the whole group.
+    group = build_group(P3)
+    x, y = group.generator_elements()
+    h = Subgroup.cyclic(group, x)
+    Subgroup.cyclic(group, y)
+    assert [len(group.shallow_word[g]) for g in (x, y)] == [1, 1]
+    group.ext_cols[:] = [_CountingColumn(c) for c in group.ext_cols]
+    _CountingColumn.reads = 0
+    joined = _join(group, h, y)
+    assert joined.elements == tuple(range(group.size))
+    assert joined.gens == (x, y)
+    # One read per element past h: at most one round of two cosets past
+    # 243, plus one probe per generator for each representative walked.
+    assert _CountingColumn.reads <= group.size // 3 + 2 * 2 * h.size
+
+
+def test_a_join_of_exactly_half_the_group_is_not_the_whole_group(d8):
+    # <r^2, r> = <r> has exactly |D8|/2 elements.
+    r, _ = d8.generator_elements()
+    c4 = _join(d8, Subgroup.cyclic(d8, d8.power(r, 2)), r)
+    assert c4.elemset == Subgroup.cyclic(d8, r).elemset
+    assert c4.size == d8.size // 2
 
 
 @pytest.mark.parametrize("presentation", [
