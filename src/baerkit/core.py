@@ -19,18 +19,21 @@ and centralizers) come from one fill along that tree,
 ConcreteGroup._along_tree: value[child] = perm[letter][value[parent]],
 one numpy assignment per (depth, letter) bucket.  Arithmetic on whole
 index arrays (mult_batch, comm_batch, power_batch) walks the shallow
-words, kept as a uint8 letter matrix, one flat gather per letter.
+words, kept as an element-major matrix of flat offsets into the
+extended columns: one gather of the right operands' rows, then one add
+and one flat gather per letter.
 
 Subgroups are plain element sets with a remembered generating list.
 Each group keeps a subgroup table, and every subgroup is grown through
 it, one generator at a time (the cyclic extension method, Holt, Eick
 and O'Brien 2005): every <x> is closed once by powering and shared by
-the x^k with k prime to |x|, every element set has one canonical
-Subgroup, and each join <H, x> is memoized by the pair (H, <x>); a miss
-grows H by whole right cosets (Dimino's algorithm).  A miss stops as
-soon as it holds more than |G|/q elements, q the least prime factor of
-|G:H|: every proper subgroup containing H has index at least q
-(Lagrange), so the join is then G, and the answer is exact.
+the x^k with k prime to |x|, every element set (the whole group's
+too) has one canonical Subgroup, and each join <H, x> is memoized by
+the pair (H, <x>); a miss grows H by whole right cosets (Dimino's
+algorithm).  A miss stops as soon as it holds more than |G|/q
+elements, q the least prime factor of |G:H|: every proper subgroup
+containing H has index at least q (Lagrange), so the join is then G,
+and the answer is exact.
 Subgroup.generated, Subgroup.from_elements and normal_closure(gens,
 ambient) all walk their generators through these joins, and the
 series, quotients, direct products and Sylow parts below all work on
@@ -166,8 +169,9 @@ class ConcreteGroup:
         mean word is longer than SHALLOW_MEAN letters, add the pair
         x -> x*e, x -> x*e^-1 for the deepest element e (the least on a
         tie) and search the shortest words again, at most SHALLOW_PAIRS
-        times, and only while every letter and mult_batch's pad letter
-        (one past the last) fit a uint8.  shallow_word spells the last tree."""
+        times, and only while every letter and the index of _npcols'
+        identity row (one past the last) fit a byte.  shallow_word spells
+        the last tree."""
         n, base = self.size, len(self.cols)
         # Lists indexed out of this object array share the ints.
         ints = np.array(ints, dtype=object)
@@ -213,7 +217,9 @@ class ConcreteGroup:
 
     @cached_property
     def _whole(self) -> "Subgroup":
-        return Subgroup(self, range(self.size), self.generator_elements())
+        # The table's whole group, shared with any join that generates G.
+        gens = tuple(self.generator_elements())
+        return Subgroup._canonical(self, self.cols[0], gens)._with_gens(gens)
 
     def mult(self, a: int, b: int) -> int:
         cols = self.ext_cols
@@ -342,29 +348,30 @@ class ConcreteGroup:
 
     @cached_property
     def _letters(self):
-        """The shallow words as a depth-major (depth, size) uint8 letter
-        matrix padded with the identity row's letter len(ext_cols), and
-        each word's length."""
-        words = self.shallow_word
-        lengths = np.fromiter(map(len, words), np.int64, self.size)
-        flat = np.frombuffer(b"".join(words), np.uint8)
-        starts = np.cumsum(lengths) - lengths
-        letters = np.full((lengths.max(), self.size), len(self.ext_cols),
-                          dtype=np.uint8)
-        for i, row in enumerate(letters):
-            has = lengths > i
-            row[has] = flat[starts[has] + i]
-        return letters, lengths
+        """_npcols.ravel(), the shallow words as flat offsets into it, and
+        each word's length.  The offsets are an element-major (size,
+        depth) matrix: row e holds letter * size for each letter of e's
+        word, padded with the identity row's offset len(ext_cols) * size.
+        Every offset plus an element stays below
+        (len(ext_cols) + 1) * size, so the offsets are int32 while that
+        is below 2**31, as it is in any group of at most 2**23 elements,
+        and no add wraps, whatever numpy's casting rules."""
+        words, n = self.shallow_word, self.size
+        lengths = np.fromiter(map(len, words), np.int64, n)
+        dtype = np.int32 if (len(self.ext_cols) + 1) * n < 2**31 else np.int64
+        offsets = np.full((n, lengths.max()), len(self.ext_cols) * n, dtype=dtype)
+        offsets[np.arange(offsets.shape[1]) < lengths[:, None]] = \
+            np.frombuffer(b"".join(words), np.uint8).astype(dtype) * n
+        return self._npcols.ravel(), offsets, lengths
 
     def mult_batch(self, a, b):
-        """a*b elementwise over index arrays of one shape (or a scalar),
-        by one flat gather per letter of the longest shallow word in b."""
-        letters, lengths = self._letters
-        flat, n = self._npcols.ravel(), np.int64(self.size)
-        for row in letters[:lengths[b].max(initial=0), b]:
-            # Widen the uint8 letters before scaling: numpy 1.x would
-            # keep letter * n in a small integer type and wrap.
-            a = flat[np.multiply(row, n, dtype=np.int64) + a]
+        """a*b elementwise over index arrays of one shape (or a scalar):
+        one gather of b's offset rows, then one add and one gather from
+        the flat columns per letter of the longest shallow word in b."""
+        flat, offsets, lengths = self._letters
+        rows = offsets[b]
+        for i in range(lengths[b].max(initial=0)):
+            a = flat[rows[..., i] + a]
         return a
 
     def comm_batch(self, a, b):

@@ -268,30 +268,45 @@ def _expansion_holds(group: ConcreteGroup, x, y, n_values) -> list:
     (x*y^-1)^n equals its predicted expansion.
 
     The prediction is x^n * prod B(i,j)^C(n, i+j+1) * y^-n, the product
-    over i >= 1, j >= 0 with 0 < i+j < n, where B(i,j) is the
-    left-normed bracket [x, i*y, j*x].  Every factor is a commutator, so
-    the product lands in the derived subgroup; that subgroup is abelian
-    in the groups this applies to, which is why no factor order needs to
-    be fixed.  The brackets do not depend on n and are built once.
+    over i >= 1, j >= 0 with 0 < i+j < n taken with i outer and j inner,
+    where B(i,j) is the left-normed bracket [x, i*y, j*x].  Every factor
+    is a commutator, so the product lands in the derived subgroup; that
+    subgroup is abelian in the groups this applies to, which is why no
+    factor order needs to be fixed.
+
+    The brackets do not depend on n and are built once, stacked by
+    weight i+j: those of weight k are one comm_batch of those of weight
+    k-1 (B(i,j) = [B(i,j-1), x] and B(k,0) = [B(k-1,0), y]).  For each
+    n, each weight is powered in one power_batch, since its brackets
+    share the exponent C(n, k+1).  x^n, y^-n and (x*y^-1)^n are stacked
+    too, one mult_batch taking them from n-1 to n; an n below 1 takes
+    power_batch.  The factors are still multiplied one by one in the
+    order above, so every value is the element that evaluating the
+    formula factor by factor gives, in any group.
     """
     mult, comm, power = group.mult_batch, group.comm_batch, group.power_batch
     top = max(n_values, default=0)
-    brackets: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(1, top):
-        b = comm(x if i == 1 else brackets[(i - 1, 0)], y)
-        brackets[(i, 0)] = b
-        for j in range(1, top - i):
-            b = comm(b, x)
-            brackets[(i, j)] = b
-    xy = mult(x, power(y, -1))
-    out = []
-    for n in n_values:
-        rhs = power(x, n)
-        for (i, j), b in brackets.items():
-            if i + j < n:
-                rhs = mult(rhs, power(b, comb(n, i + j + 1)))
-        out.append(power(xy, n) == mult(rhs, power(y, -n)))
-    return out
+    # weights[k - 1][i - 1] is B(i, k - i).
+    weights = [comm(x, y)[None]]
+    for k in range(2, top):
+        weights.append(comm(weights[-1][[*range(k - 1), k - 2]],
+                            np.stack([x] * (k - 1) + [y])))
+    y_inv = power(y, -1)
+    step = np.stack([x, y_inv, mult(x, y_inv)])
+    sides = [step]
+    for _ in range(1, top):
+        sides.append(mult(sides[-1], step))
+
+    def holds(n):
+        x_n, y_n, xy_n = sides[n - 1] if n >= 1 else power(step, n)
+        powered = [power(weights[k - 1], comb(n, k + 1)) for k in range(1, n)]
+        rhs = x_n
+        for i in range(1, n):
+            for j in range(n - i):
+                rhs = mult(rhs, powered[i + j - 1][i - 1])
+        return xy_n == mult(rhs, y_n)
+
+    return [holds(n) for n in n_values]
 
 
 def check_expansion_formula(

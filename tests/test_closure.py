@@ -258,3 +258,20 @@ def test_trivial_subgroup_is_the_canonical_one(d16):
     t = Subgroup.trivial(d16)
     assert t is Subgroup.trivial(d16) is Subgroup.cyclic(d16, 0)
     assert t.gens == () and t.elements == (0,)
+
+
+@pytest.mark.parametrize("whole_first", [True, False])
+def test_the_whole_group_is_filed_once(whole_first):
+    # Subgroup.whole and a join that generates G share one element set,
+    # whichever runs first; the whole group keeps the group's generators.
+    group = build_group(P3)
+    x, y = group.generator_elements()
+    if whole_first:
+        whole = Subgroup.whole(group)
+    joined = Subgroup.generated(group, [y, x])
+    if not whole_first:
+        whole = Subgroup.whole(group)
+    assert joined.elemset is whole.elemset and joined.elements is whole.elements
+    assert whole.elements == tuple(range(group.size))
+    assert (whole.gens, joined.gens) == ((x, y), (y, x))
+    assert Subgroup.whole(group) is whole

@@ -223,6 +223,34 @@ def test_batched_arithmetic_matches_scalar(map_groups):
             assert op(empty, empty).size == 0
         assert group.power_batch(empty, 3).size == 0
         assert group.power_batch(empty, 0).size == 0
+        # A scalar on either side, as the SymPy oracle multiplies an
+        # arange by one element.
+        for y in (0, deepest[0], b[-1]):
+            got = group.mult_batch(A, y)
+            assert got.dtype == np.int64
+            assert got.tolist() == [group.mult(x, y) for x in a]
+            assert group.comm_batch(A, y).tolist() == \
+                [group.comm(x, y) for x in a]
+        for x in (deepest[0], a[-1]):
+            got = group.mult_batch(x, B)
+            assert got.dtype == np.int64
+            assert got.tolist() == [group.mult(x, y) for y in b]
+            assert group.comm_batch(x, B).tolist() == \
+                [group.comm(x, y) for y in b]
+        # 2-D index arrays keep their shape.
+        A2, B2 = A[:40].reshape(5, 8), B[:40].reshape(5, 8)
+        for op, scalar in ((group.mult_batch, group.mult),
+                           (group.comm_batch, group.comm)):
+            got = op(A2, B2)
+            assert got.shape == (5, 8) and got.dtype == np.int64
+            assert got.ravel().tolist() == \
+                [scalar(x, y) for x, y in zip(a[:40], b[:40])]
+        for k in (-3, 2, 7):
+            got = group.power_batch(A2, k)
+            assert got.shape == (5, 8) and got.dtype == np.int64
+            assert got.ravel().tolist() == [group.power(x, k) for x in a[:40]]
+        assert group.mult_batch(A, B).dtype == np.int64
+        assert group.mult_batch(A.astype(np.int32), B).dtype == np.int64
 
 
 def _walk(cols, word):

@@ -350,6 +350,31 @@ def test_batched_checks_match_the_scalar_reference_where_they_hold(
     assert modes == {"exhaustive", "sampled"}
 
 
+@pytest.mark.parametrize("n_values", [(5, 2, 8), (3,), (6, 1, 4, 4), (0, -2, 3)])
+def test_expansion_check_takes_n_values_in_any_order(
+        n_values, d16, class3_p2, s4, monkeypatch):
+    # Out of order, with gaps, repeated, or below 1 (where the product of
+    # brackets is empty and x^n * y^-n alone is compared): every check
+    # equals the scalar reference and comes back in n_values order.
+    for group, bound in ((d16, 64), (class3_p2, 8)):
+        got = check_expansion_formula(group, n_values=n_values, trials=40,
+                                      seed=5, exhaustive_order_bound=bound)
+        assert got == scalar_expansion_formula(
+            group, n_values=n_values, trials=40, seed=5,
+            exhaustive_order_bound=bound)
+        assert [c.name for c in got] == [
+            f"power-expansion-n{n}" for n in n_values]
+        assert {c.mode for c in got} == {
+            "exhaustive" if group is d16 else "sampled"}
+    monkeypatch.setattr(engel, "is_metabelian", lambda g: True)
+    got = check_expansion_formula(s4, n_values=n_values, seed=3)
+    assert got == scalar_expansion_formula(s4, n_values=n_values, seed=3)
+    assert [c.name for c in got] == [f"power-expansion-n{n}" for n in n_values]
+    # S4's derived subgroup A4 is not abelian: past n = 2 the expansion
+    # fails, and so does n = -2, since x^-2 * y^2 need not be (x*y^-1)^-2.
+    assert [c.holds for c in got] == [n in (0, 1, 2) for n in n_values]
+
+
 def test_inputs_enumerate_up_to_the_limit_and_sample_past_it():
     pools = ((3, 5, 7), range(4), (-1, 2))
     tuples, mode = _inputs(random.Random(1), pools, 10, 24)
