@@ -249,6 +249,19 @@ def naive_lower_central_class(g):
     return cls
 
 
+def naive_derived_series(g):
+    """G >= G' >= G'' >= ... as frozensets, each term the closure of all
+    commutators of the one before; stops at 1 or where the series stalls."""
+    series = [frozenset(range(g.size))]
+    while len(series[-1]) > 1:
+        cur = series[-1]
+        nxt = naive_closure(g, [naive_comm(g, a, b) for a in cur for b in cur])
+        if nxt == cur:
+            break
+        series.append(nxt)
+    return series
+
+
 def eval_word_in(oracle, images, word_obj):
     """Evaluate a package Word in an oracle group, mapping generator names
     through images."""

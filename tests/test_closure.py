@@ -16,9 +16,12 @@ from baerkit.core import (
     Subgroup,
     _join,
     derived_series,
+    direct_product,
     frattini_p_group,
     lower_central_series,
     normal_closure,
+    sylow_decomposition,
+    upper_central_series,
 )
 from baerkit.subnormal import classify, t_n_within
 from baerkit.verify import (
@@ -203,6 +206,10 @@ def test_normal_closure_rejects_generators_outside_the_ambient(d16):
         normal_closure([s], rotations)
 
 
+def _p3_x_c2():
+    return direct_product(build_group(P3), build_group(cyclic_presentation(2)))
+
+
 def _t2_within_d8(group):
     # T_2 inside the dihedral subgroup <s, r^2> of order 8.
     r, s = group.generator_elements()
@@ -213,6 +220,8 @@ def _t2_within_d8(group):
     pytest.param(P3, lower_central_series, 1, id="p3-lower-central"),
     pytest.param(P3, derived_series, 1, id="p3-derived"),
     pytest.param(P3, lambda g: frattini_p_group(g, 3), 2, id="p3-frattini"),
+    pytest.param(P3, upper_central_series, 3, id="p3-upper-central"),
+    pytest.param(_p3_x_c2, sylow_decomposition, 2, id="p3xc2-sylow"),
     pytest.param(D16, classify, 5, id="d16-classify"),
     pytest.param(D16, check_cyclic_closure_class, 5,
                  id="d16-cyclic-closure-class"),
@@ -228,8 +237,10 @@ def _t2_within_d8(group):
 def test_closures_built_per_computation(presentation, run, misses):
     # Each join the subgroup table misses is one build and one new entry
     # of group._joins (cyclic subgroups are powered, not built); a fresh
-    # group has no memo to answer from.
-    group = build_group(presentation)
+    # group has no memo to answer from.  A product is passed as its
+    # builder.
+    group = (build_group(presentation) if isinstance(presentation, str)
+             else presentation())
     run(group)
     assert len(group._joins) == misses
 

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -34,6 +35,8 @@ from oracles import (
     find_isomorphism,
     naive_center,
     naive_centralizer,
+    naive_derived_series,
+    naive_lower_central_class,
     naive_order,
     naive_upper_central_series,
     q8_model,
@@ -385,6 +388,20 @@ def test_whole_group_maps_agree_with_naive_scans(map_groups):
             assert frozenset(centralizer(group, xs).elements) \
                 == naive_centralizer(group, xs)
         assert centralizer(group, []).is_whole()
+
+
+def test_series_agree_with_naive_closures(map_groups):
+    for group in map_groups:
+        assert nilpotency_class(group) == naive_lower_central_class(group)
+        assert [z.elemset for z in derived_series(group)] \
+            == naive_derived_series(group)
+
+
+def test_element_orders_and_exponent_agree_with_naive_loop(map_groups):
+    for group in map_groups:
+        orders = [naive_order(group, e) for e in range(group.size)]
+        assert [group.element_order(e) for e in range(group.size)] == orders
+        assert exponent(group) == math.lcm(*orders)
 
 
 def test_nilpotency_class_frozen(s3, s4, d8, d16, q8):
