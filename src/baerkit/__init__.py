@@ -45,7 +45,6 @@ from .presentation import (
     WordLimitError,
     Word,
     commutator_word,
-    engel_word,
     parse_presentation,
     parse_word,
     word,

@@ -14,8 +14,8 @@ its deepest element e and searches again over the larger alphabet
 (shallow Schreier trees, Seress 2003, 4.4).  a*b follows b's shallow
 word through these extended columns starting at a.
 
-Whole-group maps (inverses, x -> [x, y], and g -> x^g behind centres
-and centralizers) come from one fill along that tree,
+Whole-group maps (inverses, and x -> [x, y] behind centralizers and
+the upper central series) come from one fill along that tree,
 ConcreteGroup._along_tree: value[child] = perm[letter][value[parent]],
 one numpy assignment per (depth, letter) bucket.  Arithmetic on whole
 index arrays (mult_batch, comm_batch, power_batch) walks the shallow
@@ -136,7 +136,6 @@ class ConcreteGroup:
         self.cols = [list(map(ints.__getitem__, c)) for c in cols]
         self._search_words(ints)
         # Memos keyed by an argument, each filled by the function named.
-        self._orders: dict[int, int] = {}  # element_order
         self._nilpotency_class: dict[frozenset, int | None] = {}  # nilpotency_class
         self._derived: dict[frozenset, Subgroup] = {}  # derived_subgroup
         self._frattini: dict[int, Subgroup] = {}  # frattini_p_group, by p
@@ -198,11 +197,6 @@ class ConcreteGroup:
                                      for row in stack[base:k]]
         self.shallow_word = _spell(tree, ints)
 
-    @property
-    def extra_pairs(self) -> int:
-        """The number of column pairs added for shallow words."""
-        return (len(self.ext_cols) - len(self.cols)) // 2
-
     # -- element arithmetic ------------------------------------------------
 
     @property
@@ -261,14 +255,7 @@ class ConcreteGroup:
         return out
 
     def element_order(self, a: int) -> int:
-        got = self._orders.get(a)
-        if got is None:
-            c, got = a, 1
-            while c != 0:
-                c = self.mult(c, a)
-                got += 1
-            self._orders[a] = got
-        return got
+        return Subgroup.cyclic(self, a).size
 
     # -- words --------------------------------------------------------------
 
@@ -532,9 +519,6 @@ class Subgroup:
     def __hash__(self):
         return hash((id(self.group), self.elemset))
 
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.elemset <= other.elemset
-
     def is_whole(self) -> bool:
         return self.size == self.group.size
 
@@ -713,6 +697,18 @@ def is_normal_in(h: Subgroup, ambient) -> bool:
     )
 
 
+def _series(term: Subgroup, step, end: int) -> list[Subgroup]:
+    """term, step(term), step(step(term)), ... up to the first term of
+    end elements (kept) or the first that repeats the last (left out)."""
+    series = [term]
+    while term.size != end:
+        nxt = step(term)
+        if nxt.elemset == term.elemset:
+            break
+        series.append(term := nxt)
+    return series
+
+
 def lower_central_series(g) -> list[Subgroup]:
     """G = gamma_1 >= gamma_2 >= ... down to stabilization.
 
@@ -720,17 +716,8 @@ def lower_central_series(g) -> list[Subgroup]:
     generators with the group's generators."""
     sub = _as_subgroup(g)
     group = sub.group
-    series = [sub]
-    while True:
-        cur = series[-1]
-        comms = [group.comm(a, b) for a in cur.gens for b in sub.gens]
-        nxt = normal_closure(comms, sub)
-        if nxt.elemset == cur.elemset:
-            break
-        series.append(nxt)
-        if nxt.size == 1:
-            break
-    return series
+    return _series(sub, lambda cur: normal_closure(
+        [group.comm(a, b) for a in cur.gens for b in sub.gens], sub), 1)
 
 
 def nilpotency_class(g) -> int | None:
@@ -744,16 +731,7 @@ def nilpotency_class(g) -> int | None:
 
 
 def derived_series(g) -> list[Subgroup]:
-    sub = _as_subgroup(g)
-    series = [sub]
-    while True:
-        nxt = derived_subgroup(series[-1])
-        if nxt.elemset == series[-1].elemset:
-            break
-        series.append(nxt)
-        if nxt.size == 1:
-            break
-    return series
+    return _series(_as_subgroup(g), derived_subgroup, 1)
 
 
 def derived_subgroup(g) -> Subgroup:
@@ -784,40 +762,26 @@ def center(group: ConcreteGroup) -> Subgroup:
 def upper_central_series(group: ConcreteGroup) -> list[Subgroup]:
     """Z_1 = Z(G) <= Z_2 <= ... up to stabilization.
 
-    Uses the pullback description elementwise: g lies in Z_{i+1} exactly
-    when [g, s] falls in Z_i for every generator s."""
-    series = [center(group)]
+    Z_{i+1} is the pullback of Z_i (Z_0 = 1): the g with [g, s] in Z_i
+    for every generator s."""
     comms = [group.comm_with_perm(s) for s in group.generator_elements()]
-    while True:
-        cur = series[-1]
-        if cur.is_whole():
-            break
-        member = _mask(group, cur.elements)
-        keep = np.ones(group.size, dtype=bool)
-        for c in comms:
-            keep &= member[c]
-        nxt = _from_mask(group, keep)
-        if nxt.elemset == cur.elemset:
-            break
-        series.append(nxt)
-    return series
+    step = functools.partial(_pullback, group, comms)
+    return _series(step(Subgroup.trivial(group)), step, group.size)
 
 
 def centralizer(group: ConcreteGroup, elements) -> Subgroup:
-    conj = group._conj_perms
+    """The g with [g, x] = 1 for every x in elements."""
+    return _pullback(group, [group.comm_with_perm(x) for x in elements],
+                     Subgroup.trivial(group))
+
+
+def _pullback(group: ConcreteGroup, comms, sub: Subgroup) -> Subgroup:
+    """The g whose images comm[g] all lie in sub, over the maps in comms."""
+    member = np.zeros(group.size, dtype=bool)
+    member[list(sub.elements)] = True
     keep = np.ones(group.size, dtype=bool)
-    for x in elements:
-        keep &= group._along_tree(x, conj) == x
-    return _from_mask(group, keep)
-
-
-def _mask(group: ConcreteGroup, elements):
-    mask = np.zeros(group.size, dtype=bool)
-    mask[list(elements)] = True
-    return mask
-
-
-def _from_mask(group: ConcreteGroup, keep) -> Subgroup:
+    for c in comms:
+        keep &= member[c]
     return Subgroup.from_elements(group, np.flatnonzero(keep).tolist())
 
 

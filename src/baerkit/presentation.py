@@ -32,7 +32,6 @@ __all__ = [
     "GroupPresentation",
     "free_reduce",
     "commutator_word",
-    "engel_word",
     "parse_presentation",
     "parse_word",
 ]
@@ -137,16 +136,6 @@ def commutator_word(*items: Word) -> Word:
     for nxt in items[1:]:
         acc = acc.inverse() * nxt.inverse() * acc * nxt
     return free_reduce(acc)
-
-
-def engel_word(x: Word, y: Word, n: int) -> Word:
-    """Iterated bracket [x, y, y, ..., y] with n trailing copies of y."""
-    if n < 1:
-        raise PresentationError("bracket depth must be at least 1")
-    acc = x
-    for _ in range(n):
-        acc = commutator_word(acc, y)
-    return acc
 
 
 @dataclass(frozen=True)

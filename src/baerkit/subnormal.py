@@ -21,7 +21,6 @@ its generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 
 from .core import (
     ConcreteGroup,
@@ -32,6 +31,7 @@ from .core import (
     nilpotency_class,
     normal_closure,
     _as_subgroup,
+    _series,
 )
 
 __all__ = [
@@ -84,7 +84,7 @@ def defect(h: Subgroup, ambient) -> DefectResult:
     Each closure either reaches h, equals the term before it (the series
     stops strictly above h, so h is not subnormal), or is a proper
     subgroup of that term still containing h, whose index over h is a
-    proper divisor of the term's.  So the loop ends after at most
+    proper divisor of the term's.  So the series ends after at most
     Omega(|K:h|) closures, where K is the ambient and Omega counts prime
     factors with multiplicity; that is at most log2 |K:h|."""
     amb = _as_subgroup(ambient)
@@ -92,16 +92,8 @@ def defect(h: Subgroup, ambient) -> DefectResult:
         raise GroupError("subgroup and ambient belong to different groups")
     if not h.elemset <= amb.elemset:
         raise GroupError("subgroup is not contained in the ambient")
-    if h.elemset == amb.elemset:
-        return DefectResult(0)
-    current = amb
-    for d in count(1):
-        nxt = normal_closure(h.gens, current)
-        if nxt.elemset == h.elemset:
-            return DefectResult(d)
-        if nxt.size == current.size:
-            return DefectResult(None)
-        current = nxt
+    series = _series(amb, lambda cur: normal_closure(h.gens, cur), h.size)
+    return DefectResult(len(series) - 1 if series[-1].size == h.size else None)
 
 
 def cyclic_defect(group: ConcreteGroup, x: int) -> DefectResult:

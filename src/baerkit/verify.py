@@ -36,6 +36,7 @@ from .coset import DEFAULT_MAX_COSETS, enumerate_cosets, to_group
 from .engel import (
     EXPANSION_EXHAUSTIVE_ORDER,
     _inputs,
+    _pair_words,
     check_expansion_formula,
     check_metabelian_identities,
     is_left_n_engel,
@@ -302,6 +303,15 @@ def check_congruence_subnormality(
     x = group.gen_element(0)
     y = group.gen_element(1)
     frat = frattini_p_group(group, p)
+    # The bracket identities of g = x^m y^n z, as (name, holds(g, m, n)).
+    identities = (
+        ("[x,g,g] = x^(n^2 p^2)", lambda g, m, n:
+         group.comm(group.comm(x, g), g) == group.power(x, (n * n) * q)),
+        ("[y,g,g] = x^(-mn p^2)", lambda g, m, n:
+         group.comm(group.comm(y, g), g) == group.power(x, (-m * n) * q)),
+        ("g^(p^2) = x^((m+n) p^2)", lambda g, m, n:
+         group.power(g, q) == group.power(x, (m + n) * q)),
+    )
 
     if group.size <= exhaustive_threshold:
         todo = list(range(group.size))
@@ -327,21 +337,12 @@ def check_congruence_subnormality(
                        "predicted": predicted, "actual": actual}
             return _verdict(cid, False, details,
                             witness=str(group.element_word(g)))
-        if group.comm(group.comm(x, g), g) != group.power(x, (n * n) * q):
-            return _verdict(cid, False,
-                            {"mode": mode, "identity": "[x,g,g] = x^(n^2 p^2)",
-                             "coordinates": [m, n]},
-                            witness=str(group.element_word(g)))
-        if group.comm(group.comm(y, g), g) != group.power(x, (-m * n) * q):
-            return _verdict(cid, False,
-                            {"mode": mode, "identity": "[y,g,g] = x^(-mn p^2)",
-                             "coordinates": [m, n]},
-                            witness=str(group.element_word(g)))
-        if group.power(g, q) != group.power(x, (m + n) * q):
-            return _verdict(cid, False,
-                            {"mode": mode, "identity": "g^(p^2) = x^((m+n) p^2)",
-                             "coordinates": [m, n]},
-                            witness=str(group.element_word(g)))
+        for name, holds in identities:
+            if not holds(g, m, n):
+                return _verdict(cid, False,
+                                {"mode": mode, "identity": name,
+                                 "coordinates": [m, n]},
+                                witness=str(group.element_word(g)))
         checked += 1
     details = {"mode": mode, "count": checked, "prime": p}
     if mode != "exhaustive":
@@ -475,11 +476,10 @@ def check_generated_subgroup_class(
             sub = Subgroup.generated(group, list(gens))
             cls = nilpotency_class(sub)
             if cls is None or cls > bound:
-                words = ", ".join(str(group.element_word(g)) for g in gens)
                 return _verdict(cid, False,
                                 {"d": d, "bound": bound, "class": cls,
                                  "subgroup_order": sub.size, "mode": mode},
-                                witness=words)
+                                witness=_pair_words(group, *gens))
         counts[str(d)] = {"bound": bound, "count": len(tuples), "mode": mode}
     return _verdict(cid, True, {"per_d": counts, "seed": seed})
 
@@ -530,7 +530,7 @@ def check_odd_p_metabelian_class(group: ConcreteGroup) -> TheoremCheck:
     when p is odd; for p = 2 the class bound genuinely fails, so the check
     records the observed class instead."""
     cid = "odd-p-class-three"
-    facs = factorize(group.size) if group.size > 1 else {}
+    facs = factorize(group.size)
     if len(facs) != 1:
         return _skip(cid, "group is not a p-group")
     if not is_metabelian(group):
@@ -555,7 +555,7 @@ def check_solubility_and_engel(group: ConcreteGroup, *,
     """p-groups with proper T_2 are soluble 6-Engel groups whose 2-generator
     subgroups have class at most 6 and 5-generator subgroups class at most 12."""
     cid = "solubility-and-engel"
-    facs = factorize(group.size) if group.size > 1 else {}
+    facs = factorize(group.size)
     if len(facs) != 1:
         return _skip(cid, "group is not a p-group")
     t2 = classify(group).t2
@@ -616,11 +616,10 @@ def check_subgroup_inheritance(group: ConcreteGroup, *,
         sub = Subgroup.generated(group, gens)
         t2h = t_n_within(sub, 2)
         if not (t2h.elemset <= t2g.elemset and t2h.elemset <= sub.elemset):
-            words = ", ".join(str(group.element_word(g)) for g in gens)
             return _verdict(cid, False,
                             {"subgroup_order": sub.size,
                              "subgroup_t2_order": t2h.size},
-                            witness=words)
+                            witness=_pair_words(group, *gens))
         checked += 1
     return _verdict(cid, True, {"count": checked, "seed": seed})
 
@@ -634,7 +633,7 @@ def check_product_decomposition(h: ConcreteGroup, k: ConcreteGroup, *,
     of H with a nontrivial part of K stays non-2-subnormal (chains project
     to the factors), which can pull all of K into T_2."""
     cid = "product-decomposition"
-    hfacs = factorize(h.size) if h.size > 1 else {}
+    hfacs = factorize(h.size)
     if len(hfacs) != 1:
         return _skip(cid, "left factor is not a p-group")
     p = next(iter(hfacs))

@@ -10,7 +10,6 @@ from baerkit.presentation import (
     Word,
     WordLimitError,
     commutator_word,
-    engel_word,
     free_reduce,
     parse_presentation,
     parse_word,
@@ -79,14 +78,6 @@ def test_left_normed_commutator_frozen_value():
     expected = (word("y", -1) * word("x", -1) * word("y") * word("x", -1) *
                 word("y", -1) * word("x") * word("y") * word("x"))
     assert got == expected
-
-
-def test_engel_word_is_iterated_commutator():
-    x, y = word("x"), word("y")
-    assert engel_word(x, y, 1) == commutator_word(x, y)
-    assert engel_word(x, y, 3) == commutator_word(x, y, y, y)
-    with pytest.raises(PresentationError):
-        engel_word(x, y, 0)
 
 
 def test_parse_minimal_cyclic():

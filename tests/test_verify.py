@@ -302,6 +302,29 @@ def test_cyclic_closure_class_names_the_first_failing_element(
         group, exhaustive_threshold=1, seed=7)
 
 
+def test_congruence_check_names_the_first_failing_identity(monkeypatch):
+    # A comm that is off whenever its first argument is y breaks only the
+    # second bracket identity: the check names it, with the coordinates,
+    # at the first element where it fails.
+    group = build_class3_p_group(2)
+    x, y = group.generator_elements()
+    real = group.comm
+    monkeypatch.setattr(group, "comm", lambda a, b: (
+        group.mult(real(a, b), x) if a == y else real(a, b)))
+    for g in range(group.size):
+        m, n = frattini_coordinates(group, g)
+        if group.comm(group.comm(y, g), g) != group.power(x, -m * n * 4):
+            break
+    else:
+        pytest.fail("the patched identity holds everywhere")
+    check = verify.check_congruence_subnormality(group)
+    assert check.status == "fail"
+    assert check.details == {"mode": "exhaustive",
+                             "identity": "[y,g,g] = x^(-mn p^2)",
+                             "coordinates": [m, n]}
+    assert check.witness == str(group.element_word(g))
+
+
 def test_quotient_two_baer_skips_when_t2_is_trivial(d8, class3_p3):
     check = check_quotient_two_baer(d8)
     assert check.status == "skipped"
