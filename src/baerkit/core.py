@@ -135,6 +135,17 @@ class ConcreteGroup:
         ints = list(range(n))
         self.cols = [list(map(ints.__getitem__, c)) for c in cols]
         self._search_words(ints)
+        self._drop_memos()
+
+    def _drop_memos(self):
+        """Empty every memo; __init__ starts them here.
+
+        A Subgroup holds its group, and the subgroup table, _derived,
+        _frattini, _report and _whole hold Subgroups, so a group with
+        filled memos is a reference cycle that only a full pass of the
+        cycle collector frees.  Once they are dropped the group dies with
+        its last outside reference.  Subgroups handed out keep their
+        elements and stay valid, and the memos refill on demand."""
         # Memos keyed by an argument, each filled by the function named.
         self._nilpotency_class: dict[frozenset, int | None] = {}  # nilpotency_class
         self._derived: dict[frozenset, Subgroup] = {}  # derived_subgroup
@@ -142,12 +153,16 @@ class ConcreteGroup:
         self._cyclic_defects: dict = {}  # subnormal.cyclic_defect, by <x>
         self._left_engel: dict = {}  # engel._is_left_engel, by class rep
         # The subgroup table, filled by Subgroup.cyclic and _join.
-        self._cyclic: list[Subgroup | None] = [None] * n  # <x>, per element x
+        self._cyclic: list[Subgroup | None] = [None] * self.size  # <x>, per x
         self._subgroups: dict[frozenset, Subgroup] = {}  # by element set
         self._joins: dict[tuple, Subgroup] = {}  # <H, x>, by (H, <x>) sets
         # Results computed once per group, each by the function named.
         self._defect_scan: list | None = None  # subnormal._defect_scan
         self._report = None  # subnormal.classify
+        try:
+            del self._whole  # the cached property, once it has been read
+        except AttributeError:
+            pass
 
     # -- construction internals -------------------------------------------
 

@@ -36,10 +36,10 @@ from .coset import DEFAULT_MAX_COSETS, enumerate_cosets, to_group
 from .engel import (
     EXPANSION_EXHAUSTIVE_ORDER,
     _inputs,
+    _is_left_engel,
     _pair_words,
     check_expansion_formula,
     check_metabelian_identities,
-    is_left_n_engel,
     is_n_engel_group,
 )
 from .presentation import PresentationError, parse_presentation, word
@@ -438,7 +438,7 @@ def check_cyclic_closure_class(
         if r not in per_class:
             ncl = normal_closure([r], group)
             per_class[r] = (ncl.size, nilpotency_class(ncl),
-                            is_left_n_engel(group, r, 3).holds)
+                            _is_left_engel(group, r, 3))
         size, cls, engel = per_class[r]
         if cls is None or cls > 2:
             return _verdict(cid, False,
@@ -840,6 +840,11 @@ def run_full_suite(corpus: list[CorpusEntry] | None = None, *, seed: int = 0,
         gdict.update(classify(group).to_json_dict())
         reports.append({"group": gdict,
                         "checks": [c.to_json_dict() for c in results]})
+        # Free the group (and a product's factors) before the next entry
+        # is built, not at the next full pass of the cycle collector.
+        for done in (group, *group.meta.get("factors", ())):
+            done._drop_memos()
+        del group, done
     return {
         "config": suite_config(seed, max_cosets, exhaustive_threshold),
         "reports": reports,

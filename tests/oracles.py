@@ -431,7 +431,7 @@ def per_element_cyclic_closure_class(group, *, exhaustive_threshold=2048,
     """verify.check_cyclic_closure_class with one normal closure and one
     left-Engel test per element.  Through the verify module, so a test
     that monkeypatches its nilpotency_class reaches this reference too."""
-    from baerkit import verify
+    from baerkit import engel, verify
 
     cid = "cyclic-closure-class"
     t2 = verify.classify(group).t2
@@ -454,7 +454,7 @@ def per_element_cyclic_closure_class(group, *, exhaustive_threshold=2048,
                                    {"mode": mode, "closure_order": ncl.size,
                                     "closure_class": cls},
                                    witness=str(group.element_word(g)))
-        if not verify.is_left_n_engel(group, g, 3).holds:
+        if not engel.is_left_n_engel(group, g, 3).holds:
             return verify._verdict(cid, False,
                                    {"mode": mode, "failed": "left 3-Engel"},
                                    witness=str(group.element_word(g)))

@@ -2,10 +2,21 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
-from baerkit.core import nilpotency_class
-from baerkit.subnormal import classify, t_n_subgroup
-from baerkit.verify import build_group, dihedral_presentation, parse_corpus_text
+import pytest
+
+from baerkit.core import Subgroup, nilpotency_class
+from baerkit.subnormal import ClassificationReport, classify, t_n_subgroup
+from baerkit.verify import (
+    _SUITE_CHECKS,
+    CorpusEntry,
+    build_group,
+    default_corpus,
+    dihedral_presentation,
+    parse_corpus_text,
+    run_full_suite,
+)
 
 
 def _d12():
@@ -39,3 +50,84 @@ def test_corpus_group_is_collected_once_dropped():
     del group
     gc.collect()
     assert ref() is None
+
+
+def _corpus_entry(name):
+    return next(entry for entry in default_corpus() if entry.name == name)
+
+
+# What __init__ sets apart from the memos; every other attribute of a
+# freshly built group is a memo.
+_CONSTRUCTION = {"size", "cols", "presentation", "gen_names", "meta",
+                 "_word_tree", "ext_cols", "shallow_word"}
+
+
+def _holds_subgroup(value):
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (list, tuple)):
+        return any(_holds_subgroup(v) for v in value)
+    return isinstance(value, (Subgroup, ClassificationReport))
+
+
+def test_run_full_suite_frees_each_group_without_the_cycle_collector():
+    # The collector is off, so a group whose memos still hold Subgroups
+    # (each of which holds the group) would outlive the suite.  Each
+    # group is gone before the next one is built.
+    refs, alive_at_build = [], []
+
+    def keeping_refs(build):
+        def build_and_keep(*args):
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            group = build(*args)
+            refs.extend(weakref.ref(g)
+                        for g in (group, *group.meta.get("factors", ())))
+            return group
+        return build_and_keep
+
+    corpus = [replace(entry, build=keeping_refs(entry.build))
+              for entry in default_corpus()]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_full_suite(corpus, seed=1)
+        alive = [ref() for ref in refs if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(refs) == len(corpus) + 2  # both factors of the product
+    assert alive == []
+    assert alive_at_build == [0] * len(corpus)
+
+
+@pytest.mark.parametrize("name", ["D16", "class3-p2", "class3-p3 x C2"])
+def test_dropped_memos_match_a_fresh_group(name):
+    entry = _corpus_entry(name)
+    fresh, group = entry.build(), entry.build()
+    run_full_suite([CorpusEntry(name, lambda *args: group)], seed=1)
+    for g, f in zip((group, *group.meta.get("factors", ())),
+                    (fresh, *fresh.meta.get("factors", ()))):
+        memos = set(vars(f)) - _CONSTRUCTION
+        assert memos >= {"_subgroups", "_joins", "_cyclic", "_report"}
+        for key in memos:
+            assert getattr(g, key) == getattr(f, key), key
+        assert "_whole" not in vars(g)
+        assert not any(_holds_subgroup(v) for v in vars(g).values())
+
+
+@pytest.mark.parametrize("name", ["D16", "class3-p2", "class3-p3 x C2"])
+def test_dropped_group_answers_as_before(name):
+    def answers():
+        return ([c.to_json_dict() for _, call in _SUITE_CHECKS
+                 if (c := call(group, 2048, 5)) is not None],
+                classify(group).to_json_dict())
+
+    group = _corpus_entry(name).build()
+    report = classify(group)
+    t2, t2_elems = report.t2, report.t2.elemset
+    before = answers()
+    group._drop_memos()
+    assert classify(group) is not report
+    assert answers() == before
+    assert t2.elemset == t2_elems
+    assert t2.group is group and t2 == classify(group).t2
