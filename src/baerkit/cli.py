@@ -171,14 +171,6 @@ def cmd_defect(args) -> int:
     return EXIT_OK
 
 
-def _suite_exit(report: dict) -> int:
-    for rep in report["reports"]:
-        for check in rep["checks"]:
-            if check["status"] == "fail":
-                return EXIT_FAILED
-    return EXIT_OK
-
-
 def _render_suite_text(report: dict) -> str:
     cfg = report["config"]
     limits = cfg["limits"]
@@ -216,16 +208,23 @@ def _render_suite_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _print_suite(report: dict, args) -> int:
+    """Write a suite report in args.format; exit 3 if any check failed."""
+    if args.format == "json":
+        _print_json(report)
+    else:
+        sys.stdout.write(_render_suite_text(report))
+    failed = any(check["status"] == "fail"
+                 for rep in report["reports"] for check in rep["checks"])
+    return EXIT_FAILED if failed else EXIT_OK
+
+
 def cmd_verify_examples(args) -> int:
     report = run_example_checks(
         args.primes, seed=args.seed, max_cosets=args.max_cosets,
         exhaustive_threshold=args.exhaustive_threshold,
         max_steps=args.max_steps)
-    if args.format == "json":
-        _print_json(report)
-    else:
-        sys.stdout.write(_render_suite_text(report))
-    return _suite_exit(report)
+    return _print_suite(report, args)
 
 
 def cmd_check_theorems(args) -> int:
@@ -238,11 +237,7 @@ def cmd_check_theorems(args) -> int:
         corpus, seed=args.seed, max_cosets=args.max_cosets,
         exhaustive_threshold=args.exhaustive_threshold,
         max_steps=args.max_steps)
-    if args.format == "json":
-        _print_json(report)
-    else:
-        sys.stdout.write(_render_suite_text(report))
-    return _suite_exit(report)
+    return _print_suite(report, args)
 
 
 def main(argv=None) -> int:

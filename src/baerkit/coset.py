@@ -34,11 +34,11 @@ inside a scan too.
 The finished table is checked once more with numpy, one gather over all
 cosets per relator letter.  to_group() lifts it to the right regular
 action on the pairs (j, c), standing for w^j * rep(c):
-(j, c)*s = (j + h(c, s) mod |H|, c*s), checks the lifted table the same
-way, and then standardizes it: elements are renumbered in breadth-first
-order from the identity, letter by letter (Handbook 5.1.4), so the
-element numbering depends only on the group and its generator order,
-not on H or on the enumeration.
+(j, c)*s = (j + h(c, s) mod |H|, c*s), checks that each relator closes
+on the lifted table, and then standardizes it: elements are renumbered
+in breadth-first order from the identity, letter by letter (Handbook
+5.1.4), so the element numbering depends only on the group and its
+generator order, not on H or on the enumeration.
 """
 
 from __future__ import annotations
@@ -97,14 +97,14 @@ class CosetTable:
 
 def _letters(w: Word, gen_col: dict[str, int]) -> list[int]:
     out: list[int] = []
-    for g, e in free_reduce(w).syllables:
+    for g, e in w.syllables:
         col = gen_col[g] + (0 if e > 0 else 1)
         out.extend([col] * abs(e))
     return out
 
 
 def _letter_words(pres: GroupPresentation, words) -> list[list[int]]:
-    # the words that do not reduce to 1, as lists of letter columns
+    # the freely reduced words other than 1, as lists of letter columns
     gen_col = {g: 2 * i for i, g in enumerate(pres.generators)}
     return [w for w in (_letters(r, gen_col) for r in words) if w]
 
@@ -135,6 +135,7 @@ def enumerate_cosets(
         raise ValueError("max_cosets must be positive")
     if len(subgroup_gens) > 1:
         raise ValueError("the subgroup must be cyclic: one generator at most")
+    subgroup_gens = tuple(free_reduce(w) for w in subgroup_gens)
     longest = max((r.letter_count() for r in pres.relators), default=0)
     if longest > max_cosets:
         raise EnumerationLimitError(
@@ -397,7 +398,7 @@ def enumerate_cosets(
     count = len(parent)
     table = CosetTable(
         presentation=pres,
-        subgroup_generators=tuple(free_reduce(w) for w in subgroup_gens),
+        subgroup_generators=subgroup_gens,
         cols=cols,
         coset_count=count,
         labels=labs,
@@ -408,13 +409,11 @@ def enumerate_cosets(
 
 
 def _validate(table: CosetTable, rel_words, sub_words) -> int:
-    """Post hoc consistency check: complete, invertible, and closed.
-    Returns |H|: the gcd of the labels the relators close with at every
-    coset and of k - 1 for the label k of the subgroup generator at
-    coset 0 (1 without a generator, 0 if H is infinite).
-
-    Runs on numpy copies of the columns: each relator letter is one
-    gather over all cosets at once."""
+    """Post hoc consistency check on numpy copies of the columns:
+    complete, invertible, and closed.  Returns |H|: the gcd of the labels
+    the relators close with at every coset and of k - 1 for the label k
+    of the subgroup generator at coset 0 (1 without a generator, 0 if H
+    is infinite)."""
     n = table.coset_count
     if any(len(col) != n for col in table.cols):
         raise RuntimeError("coset table is not complete")
@@ -427,9 +426,25 @@ def _validate(table: CosetTable, rel_words, sub_words) -> int:
         if ((cols[l ^ 1][col] != every).any()
                 or (labs[l ^ 1][col] != -labs[l]).any()):
             raise RuntimeError("coset table columns are not mutually inverse")
-    # Without a generator H is trivial; once the gcd is 1, labels no
-    # longer matter.
-    order = 0 if sub_words else 1
+    # Without a generator H is trivial.
+    order = _close_relators(cols, labs, rel_words, 0 if sub_words else 1)
+    for w in sub_words:
+        x, k = 0, 0
+        for l in w:
+            k += int(labs[l][x])
+            x = cols[l][x]
+        if x != 0:
+            raise RuntimeError("subgroup generator does not fix coset 0")
+        order = gcd(order, k - 1)
+    return order
+
+
+def _close_relators(cols: np.ndarray, labs, rel_words, order: int) -> int:
+    """Walk each relator from every coset at once, one gather per letter,
+    and raise RuntimeError unless it returns each coset to itself.
+    Returns the gcd of order and the labels the relators close with;
+    labs is read only while that gcd is not 1."""
+    every = np.arange(cols.shape[1])
     for w in rel_words:
         x, k = every, 0
         for l in w:
@@ -439,14 +454,6 @@ def _validate(table: CosetTable, rel_words, sub_words) -> int:
         if (x != every).any():
             raise RuntimeError("relator does not close on the final table")
         order = gcd(order, *np.unique(k).tolist())
-    for w in sub_words:
-        x, k = 0, 0
-        for l in w:
-            k += int(labs[l][x])
-            x = cols[l][x]
-        if x != 0:
-            raise RuntimeError("subgroup generator does not fix coset 0")
-        order = gcd(order, k - 1)
     return order
 
 
@@ -474,8 +481,7 @@ def to_group(table: CosetTable, max_cosets: int = DEFAULT_MAX_COSETS):
     j = np.arange(h)[:, None]
     lifted = ((j + labs[:, None, :]) % h * index
               + cols[:, None, :]).reshape(len(cols), h * index)
-    _validate(CosetTable(pres, (), lifted, h * index, np.zeros_like(lifted), 1),
-              _letter_words(pres, pres.relators), [])
+    _close_relators(lifted, None, _letter_words(pres, pres.relators), 1)
     return ConcreteGroup(_standardize(lifted).tolist(), presentation=pres)
 
 

@@ -62,17 +62,20 @@ class WordLimitError(RuntimeError):
 
 
 def _reduced(syllables) -> tuple[tuple[str, int], ...]:
-    out: list[list] = []
-    for gen, exp in syllables:
+    # Each syllable tuple is kept as given; a new one is made only where
+    # two syllables merge, or where the caller's syllable is not a tuple.
+    out: list[tuple[str, int]] = []
+    for syl in syllables:
+        gen, exp = syl
         if exp == 0:
             continue
         if out and out[-1][0] == gen:
-            out[-1][1] += exp
-            if out[-1][1] == 0:
-                out.pop()
+            exp += out.pop()[1]
+            if exp:
+                out.append((gen, exp))
         else:
-            out.append([gen, exp])
-    return tuple((g, e) for g, e in out)
+            out.append(syl if type(syl) is tuple else (gen, exp))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ def commutator_word(*items: Word) -> Word:
     acc = items[0]
     for nxt in items[1:]:
         acc = acc.inverse() * nxt.inverse() * acc * nxt
-    return free_reduce(acc)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -206,8 +209,7 @@ class _Parser:
                 f"limit of {self.max_syllables} (at offset {pos})")
 
     def store(self, relators: list, w: "Word"):
-        """Append w, freely reduced, and count its syllables as written."""
-        w = free_reduce(w)
+        """Append w, already reduced, and count its syllables as written."""
         relators.append(w)
         self.written += len(w.syllables)
 
@@ -219,19 +221,29 @@ class _Parser:
         self.i += 1
         return tok
 
+    def accept(self, value: str) -> int | None:
+        """If the next token is value, consume it and return its offset."""
+        kind, val, pos = self.peek()
+        if val != value:
+            return None
+        self.i += 1
+        return pos
+
     def expect(self, value: str):
         kind, val, pos = self.next()
         if val != value:
             raise PresentationError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
 
-    def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
+    def end(self):
+        """Refuse any token left after the input's last part."""
+        if self.i < len(self.tokens):
+            kind, val, pos = self.peek()
+            raise PresentationError(f"trailing input {val!r}", pos)
 
     # word := term ("*" term)*
     def word(self) -> Word:
         acc = self.term()
-        while self.peek()[1] == "*":
-            pos = self.next()[2]
+        while (pos := self.accept("*")) is not None:
             t = self.term()
             self.fits(len(acc.syllables) + len(t.syllables), pos)
             acc = acc * t
@@ -240,8 +252,7 @@ class _Parser:
     # term := atom ("^" int)?
     def term(self) -> Word:
         atom = self.atom()
-        if self.peek()[1] == "^":
-            self.next()
+        if self.accept("^") is not None:
             kind, val, pos = self.next()
             if kind != "int":
                 raise PresentationError(f"expected an exponent, found {val!r}", pos)
@@ -270,8 +281,7 @@ class _Parser:
             return inner
         if val == "[":
             parts = [self.nested_word(pos)]
-            while self.peek()[1] == ",":
-                self.next()
+            while self.accept(",") is not None:
                 parts.append(self.nested_word(pos))
             self.expect("]")
             if len(parts) < 2:
@@ -295,8 +305,7 @@ class _Parser:
     # relation := word ("=" word)*
     def relation(self) -> list[Word]:
         words = [self.word()]
-        while self.peek()[1] == "=":
-            self.next()
+        while self.accept("=") is not None:
             words.append(self.word())
         return words
 
@@ -312,9 +321,7 @@ def parse_presentation(text: str,
     syllables in all.
     """
     p = _Parser(text, max_syllables=max_syllables)
-    kind, val, pos = p.next()
-    if val != "gens":
-        raise PresentationError("input must start with 'gens:'", pos)
+    p.expect("gens")
     p.expect(":")
     gens = []
     while True:
@@ -325,16 +332,12 @@ def parse_presentation(text: str,
         if len(gens) > MAX_GENERATORS:
             raise PresentationError(
                 f"more than {MAX_GENERATORS} generators", pos)
-        if p.peek()[1] == ",":
-            p.next()
-            continue
-        break
+        if p.accept(",") is None:
+            break
     if len(set(gens)) != len(gens):
         raise PresentationError("duplicate generator name", pos)
     p.expect(";")
-    kind, val, pos = p.next()
-    if val != "rels":
-        raise PresentationError("expected 'rels:'", pos)
+    p.expect("rels")
     p.expect(":")
     p.generators = set(gens)
 
@@ -349,23 +352,17 @@ def parse_presentation(text: str,
             for w in chain[:-1]:
                 p.fits(len(w.syllables) + len(last.syllables), pos)
                 p.store(relators, w * last.inverse())
-        if p.peek()[1] == ";":
-            p.next()
-            continue
-        break
-    if not p.at_end():
-        kind, val, pos = p.peek()
-        raise PresentationError(f"trailing input {val!r}", pos)
+        if p.accept(";") is None:
+            break
+    p.end()
     return GroupPresentation(tuple(gens), tuple(relators))
 
 
 def parse_word(text: str, generators, max_syllables: int | None = None) -> Word:
     """Parse a single word expression over the given generator names."""
     p = _Parser(text, set(generators), max_syllables)
-    if p.at_end():
+    if not p.tokens:
         raise PresentationError("empty word expression", 0)
     w = p.word()
-    if not p.at_end():
-        kind, val, pos = p.peek()
-        raise PresentationError(f"trailing input {val!r}", pos)
-    return free_reduce(w)
+    p.end()
+    return w

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import time
@@ -364,6 +365,35 @@ def test_relators_past_the_limit_together_exit_with_limit_error(tmp_path):
     assert "after 8 in earlier relators exceeds the limit of 13" in out.stderr
     out = run_cli("analyze", str(path), "--max-cosets", "14")
     assert out.returncode == 0
+
+
+def test_a_word_at_the_syllable_limit_is_written_out_in_bounded_memory(
+        tmp_path):
+    # ((a*b)^1000)^1000 has exactly the default limit of 2,000,000
+    # syllables, so it is parsed and enumerated until --max-steps stops
+    # it.  The peak is the child's own, read with wait4.
+    path = tmp_path / "limit.txt"
+    path.write_text("gens: a, b; rels: ((a*b)^1000)^1000\n")
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "baerkit", "analyze", str(path),
+             "--max-steps", "100000"],
+            stdout=subprocess.DEVNULL, stderr=err)
+    deadline = time.monotonic() + 60
+    while True:
+        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        if pid:
+            break
+        if time.monotonic() > deadline:
+            proc.kill()
+            os.wait4(proc.pid, 0)
+            pytest.fail("analyze did not exit within 60 s")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status) == 2
+    assert err_path.read_text() == (
+        "error: enumeration exceeded max_steps=100000\n")
+    assert usage.ru_maxrss < 400 * 1024  # KiB on Linux
 
 
 def _pinned(out, digest):

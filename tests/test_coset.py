@@ -6,6 +6,7 @@ import pytest
 
 from baerkit.coset import (
     DEFAULT_MAX_COSETS,
+    CosetTable,
     EnumerationLimitError,
     _letters,
     _validate,
@@ -232,6 +233,18 @@ def test_validate_rejects_corrupted_tables(kind, message):
     with pytest.raises(RuntimeError) as info:
         _validate(*_corrupt_table(kind))
     assert str(info.value) == message
+
+
+def test_to_group_rejects_a_lift_whose_relator_does_not_close():
+    # C3 over H = <a>: one coset, and a carries label 1.  Claiming
+    # |H| = 2 lifts a to a transposition, on which a^3 does not close;
+    # the lifted columns are still mutually inverse permutations.
+    pres = parse_presentation("gens: a; rels: a^3")
+    a = parse_word("a", pres.generators)
+    table = CosetTable(pres, (a,), [[0], [0]], 1, [[1], [-1]], 2)
+    with pytest.raises(RuntimeError) as info:
+        to_group(table)
+    assert str(info.value) == "relator does not close on the final table"
 
 
 def _hlt_group(pres):

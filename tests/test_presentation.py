@@ -145,6 +145,26 @@ def test_parse_rejects_malformed_input():
             parse_presentation(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x: a; rels: a", "expected 'gens', found 'x' (at offset 0)"),
+    ("", "expected 'gens', found 'end of input' (at offset 0)"),
+    ("gens: a; x: a", "expected 'rels', found 'x' (at offset 9)"),
+    ("gens: a; rels: a)", "trailing input ')' (at offset 16)"),
+])
+def test_parse_errors_name_the_token_and_its_offset(text, message):
+    with pytest.raises(PresentationError) as info:
+        parse_presentation(text)
+    assert str(info.value) == message
+
+
+def test_written_out_words_share_their_syllables():
+    # A power repeats its base's syllable tuples, and reduction keeps
+    # them, so a long word costs a pointer per syllable.
+    w = parse_word("((a*b)^1000)^10", ("a", "b"))
+    assert len(w.syllables) == 20_000
+    assert len({id(s) for s in w.syllables}) == 2
+
+
 def test_parse_word_rejects_empty_and_trailing():
     with pytest.raises(PresentationError):
         parse_word("", ("x",))
