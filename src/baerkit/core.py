@@ -109,32 +109,35 @@ class ConcreteGroup:
 
     def __init__(self, cols, presentation: GroupPresentation | None = None,
                  gen_names: tuple[str, ...] | None = None, meta: dict | None = None):
-        cols = [list(c) for c in cols]
-        if not cols or len(cols) % 2 != 0:
+        base = len(cols)
+        if base == 0 or base % 2 != 0:
             raise GroupError("need one column per generator letter (gen, inverse)")
-        if len(cols) > 2 * MAX_GENERATORS:
+        if base > 2 * MAX_GENERATORS:
             raise GroupError(f"more than {MAX_GENERATORS} generators")
         n = len(cols[0])
         if any(len(c) != n for c in cols):
             raise GroupError("ragged column lengths")
         self.size = n
-        self.cols = cols
         self.presentation = presentation
         if gen_names is None:
             if presentation is not None:
                 gen_names = presentation.generators
             else:
-                gen_names = tuple(f"g{i}" for i in range(len(cols) // 2))
+                gen_names = tuple(f"g{i}" for i in range(base // 2))
         self.gen_names = tuple(gen_names)
-        if len(self.gen_names) * 2 != len(cols):
+        if len(self.gen_names) * 2 != base:
             raise GroupError("generator names do not match columns")
         self.meta = dict(meta or {})
-        self._check_columns()
+        # The columns, then room for the extra pairs _search_words adds.
+        stack = np.empty((base + 2 * SHALLOW_PAIRS, n), dtype=np.int64)
+        stack[:base] = cols
+        _check_columns(stack[:base])
         # One int object per element, shared by all columns: a walk then
         # reads n objects laid out in order, not one per column entry.
-        ints = list(range(n))
-        self.cols = [list(map(ints.__getitem__, c)) for c in cols]
-        self._search_words(ints)
+        # Lists indexed out of this object array share the ints.
+        ints = np.arange(n).astype(object)
+        self.cols = ints[stack[:base]].tolist()
+        self._search_words(stack, ints)
         self._drop_memos()
 
     def _drop_memos(self):
@@ -166,31 +169,19 @@ class ConcreteGroup:
 
     # -- construction internals -------------------------------------------
 
-    def _check_columns(self):
-        n = self.size
-        for l, col in enumerate(self.cols):
-            if sorted(col) != list(range(n)):
-                raise GroupError(f"column {l} is not a permutation")
-            inv = self.cols[l ^ 1]
-            if any(inv[col[e]] != e for e in range(n)):
-                raise GroupError(f"columns {l} and {l ^ 1} are not mutually inverse")
-
-    def _search_words(self, ints):
+    def _search_words(self, stack, ints):
         """Set _word_tree, ext_cols and shallow_word.
 
         _word_tree is each element's depth, parent and last letter over
         cols, the last two as lists for element_word's walk.  While the
         mean word is longer than SHALLOW_MEAN letters, add the pair
         x -> x*e, x -> x*e^-1 for the deepest element e (the least on a
-        tie) and search the shortest words again, at most SHALLOW_PAIRS
-        times, and only while every letter and the index of _npcols'
-        identity row (one past the last) fit a byte.  shallow_word spells
-        the last tree."""
+        tie) as the next two free rows of stack, whose rows before them
+        are cols, and search the shortest words again, at most
+        SHALLOW_PAIRS times, and only while every letter and the index of
+        _npcols' identity row (one past the last) fit a byte.
+        shallow_word spells the last tree."""
         n, base = self.size, len(self.cols)
-        # Lists indexed out of this object array share the ints.
-        ints = np.array(ints, dtype=object)
-        stack = np.empty((base + 2 * SHALLOW_PAIRS, n), dtype=np.int32)
-        stack[:base] = self.cols
         k = base
         tree = breadth_first(stack[:k])
         if tree[3].size != n:
@@ -208,8 +199,7 @@ class ConcreteGroup:
             k += 2
             tree = breadth_first(stack[:k])
             depth = tree[0]
-        self.ext_cols = self.cols + [ints[row].tolist()
-                                     for row in stack[base:k]]
+        self.ext_cols = self.cols + ints[stack[base:k]].tolist()
         self.shallow_word = _spell(tree, ints)
 
     # -- element arithmetic ------------------------------------------------
@@ -476,6 +466,19 @@ def breadth_first(cols):
     parent[order[1:]] = order[offsets + at]
     letter[order[1:]] = last
     return depth, parent, letter, order
+
+
+def _check_columns(cols: np.ndarray):
+    """Raise GroupError unless the rows of cols come in mutually inverse
+    pairs of permutations of range(n).  Rows are checked as permutations
+    before any row indexes another, so -1 or n cannot wrap."""
+    every = np.arange(cols.shape[1])
+    perm = (np.sort(cols, axis=1) == every).all(axis=1)
+    for l in range(0, len(cols), 2):
+        if not perm[l]:
+            raise GroupError(f"column {l} is not a permutation")
+        if not perm[l + 1] or (cols[l + 1][cols[l]] != every).any():
+            raise GroupError(f"columns {l} and {l + 1} are not mutually inverse")
 
 
 _BYTE = [bytes((l,)) for l in range(256)]

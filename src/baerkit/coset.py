@@ -160,14 +160,18 @@ def enumerate_cosets(
     # relator and per subgroup generator w, the same four for each
     # letter w[i], as four sequences indexed by i.
     quads: list[tuple[list, list, list, list]] = []
-    rels: list[tuple[tuple, tuple, tuple, tuple]] = []
-    subs: list[tuple[tuple, tuple, tuple, tuple]] = []
+    rels: list[tuple[list, list, list, list]] = []
+    subs: list[tuple[list, list, list, list]] = []
 
     def bind():
         quads[:] = [(cols[l], cols[l ^ 1], labs[l], labs[l ^ 1])
                     for l in range(ncols)]
-        rels[:] = [tuple(zip(*(quads[l] for l in w))) for w in rel_words]
-        subs[:] = [tuple(zip(*(quads[l] for l in w))) for w in sub_words]
+        # One field at a time, so that no call takes a word's letters
+        # as its arguments (one per letter, all held at once).
+        rels[:] = [tuple([quads[l][i] for l in w] for i in range(4))
+                   for w in rel_words]
+        subs[:] = [tuple([quads[l][i] for l in w] for i in range(4))
+                   for w in sub_words]
 
     def findrep(c: int) -> tuple[int, int]:
         # (r, u) with r live and rep(c) = w^u * rep(r)
@@ -482,7 +486,7 @@ def to_group(table: CosetTable, max_cosets: int = DEFAULT_MAX_COSETS):
     lifted = ((j + labs[:, None, :]) % h * index
               + cols[:, None, :]).reshape(len(cols), h * index)
     _close_relators(lifted, None, _letter_words(pres, pres.relators), 1)
-    return ConcreteGroup(_standardize(lifted).tolist(), presentation=pres)
+    return ConcreteGroup(_standardize(lifted), presentation=pres)
 
 
 def _standardize(cols: np.ndarray) -> np.ndarray:

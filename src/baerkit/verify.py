@@ -9,7 +9,6 @@ passes, so a report always says what was actually tested.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -51,6 +50,17 @@ from .subnormal import (
     is_n_subnormal,
     t_n_within,
 )
+
+# sha256 from CPython's built-in module, as random.py takes sha512:
+# hashlib would map in OpenSSL's libcrypto (about 3.4 MB of resident
+# memory) for one digest per check.
+try:
+    from _sha256 import sha256  # Python 3.11 and older
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and newer
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "DEFAULT_EXHAUSTIVE_THRESHOLD",
@@ -752,8 +762,7 @@ def default_corpus() -> list[CorpusEntry]:
 
 
 def _derived_seed(seed: int, group_name: str, check_id: str) -> int:
-    digest = hashlib.sha256(
-        f"{seed}|{group_name}|{check_id}".encode()).digest()
+    digest = sha256(f"{seed}|{group_name}|{check_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -376,6 +376,32 @@ def test_malformed_columns_are_refused(cols, names, message):
         ConcreteGroup(cols, gen_names=names)
 
 
+def test_groups_built_from_arrays_and_lists_agree():
+    for text in (dihedral_presentation(40),
+                 "gens: a, b; rels: a^6; b^20; [a, b]"):
+        arr = np.array(build_group(text).cols, dtype=np.int64)
+        from_array, from_list = ConcreteGroup(arr), ConcreteGroup(arr.tolist())
+        assert _extra_pairs(from_array) > 0
+        for name in ("cols", "ext_cols", "shallow_word"):
+            assert getattr(from_array, name) == getattr(from_list, name)
+        tree, list_tree = from_array._word_tree, from_list._word_tree
+        assert (tree[0] == list_tree[0]).all() and tree[1:] == list_tree[1:]
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_columns_holding_an_out_of_range_entry_are_refused(bad):
+    # -1 would wrap and 3 would overrun as an index; neither may get past
+    # the permutation check, whichever column holds it.
+    for l in range(4):
+        cols = [[0, 1, 2], [0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        cols[l][1] = bad
+        expected = (f"column {l} is not a permutation" if l % 2 == 0 else
+                    f"columns {l - 1} and {l} are not mutually inverse")
+        for given in (cols, np.array(cols)):
+            with pytest.raises(GroupError, match=f"^{re.escape(expected)}$"):
+                ConcreteGroup(given)
+
+
 def test_groups_with_too_many_generators_are_refused():
     with pytest.raises(GroupError, match="more than 127 generators"):
         ConcreteGroup([[0]] * 256)

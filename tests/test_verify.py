@@ -1,4 +1,8 @@
+import hashlib
+import json
 import random
+import subprocess
+import sys
 from functools import partial
 
 import pytest
@@ -393,3 +397,38 @@ def test_corpus_entries_can_shadow_builtin_names():
     entries = parse_corpus_text("S3 | gens: a; rels: a^5")
     assert entries[0].build().size == 5
     assert build_group(symmetric_presentation(3), name="S3").size == 6
+
+
+SEED_TRIPLES = [
+    (0, "C6", "expected-invariants"),
+    (1234, "class3-p3 x C2", "expansion-formula"),
+    (-7, "Gruppe \u00e4\u00df \u2124/4", "metabelian-identity-suite"),
+    (2**70, "", ""),
+]
+
+
+def _oracle_seed(seed, name, cid):
+    digest = hashlib.sha256(f"{seed}|{name}|{cid}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def test_derived_seeds_are_the_leading_sha256_bytes():
+    for triple in SEED_TRIPLES:
+        assert verify._derived_seed(*triple) == _oracle_seed(*triple)
+
+
+def test_derived_seeds_fall_back_to_hashlib():
+    # With CPython's built-in sha256 modules blocked, verify takes sha256
+    # from hashlib and must give the same seeds.
+    code = (
+        "import json, sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "from baerkit import verify\n"
+        "print(verify.sha256.__module__, file=sys.stderr)\n"
+        "triples = json.loads(sys.stdin.read())\n"
+        "print(json.dumps([verify._derived_seed(*t) for t in triples]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, input=json.dumps(SEED_TRIPLES))
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.strip() in {"_hashlib", "hashlib"}
+    assert json.loads(out.stdout) == [_oracle_seed(*t) for t in SEED_TRIPLES]
