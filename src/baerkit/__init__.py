@@ -68,7 +68,6 @@ from .verify import (
     build_class4_2group,
     build_group,
     default_corpus,
-    frattini_coordinates,
     run_example_checks,
     run_full_suite,
     two_subnormal_congruence,

@@ -77,9 +77,8 @@ def _make_parser() -> _Parser:
     common.add_argument("--exhaustive-threshold", type=_positive,
                         default=DEFAULT_EXHAUSTIVE_THRESHOLD, metavar="N",
                         help="largest group order checked element by element "
-                             "by congruence-subnormality and "
-                             "cyclic-closure-class, and most generator tuples "
-                             "per d checked by generated-subgroup-class; "
+                             "by cyclic-closure-class, and most generator "
+                             "tuples per d checked by generated-subgroup-class; "
                              "larger inputs are sampled")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks (default: 0)")

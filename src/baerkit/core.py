@@ -170,7 +170,7 @@ class ConcreteGroup:
     # -- construction internals -------------------------------------------
 
     def _search_words(self, stack, ints):
-        """Set _word_tree, ext_cols and shallow_word.
+        """Set _word_tree, ext_cols, _npcols and shallow_word.
 
         _word_tree is each element's depth, parent and last letter over
         cols, the last two as lists for element_word's walk.  While the
@@ -200,6 +200,8 @@ class ConcreteGroup:
             tree = breadth_first(stack[:k])
             depth = tree[0]
         self.ext_cols = self.cols + ints[stack[base:k]].tolist()
+        # The extended columns, then the identity row that _letters pads with.
+        self._npcols = np.vstack((stack[:k], np.arange(n)))
         self.shallow_word = _spell(tree, ints)
 
     # -- element arithmetic ------------------------------------------------
@@ -281,11 +283,6 @@ class ConcreteGroup:
             for l in _tree_word(self._word_tree, e)])))
 
     # -- whole-group maps along the BFS tree ---------------------------------
-
-    @cached_property
-    def _npcols(self):
-        # The extended columns, then the identity row that _letters pads with.
-        return np.array(self.ext_cols + [range(self.size)], dtype=np.int64)
 
     @cached_property
     def _tree(self):

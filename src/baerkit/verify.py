@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from .core import (
     ConcreteGroup,
     GroupError,
@@ -46,8 +48,8 @@ from .subnormal import (
     GENERALIZED_T2,
     NOT_GENERALIZED_BAER2,
     TWO_BAER,
+    _defect_scan,
     classify,
-    is_n_subnormal,
     t_n_within,
 )
 
@@ -77,7 +79,6 @@ __all__ = [
     "build_class4_2group",
     "build_class3_p_group",
     "two_subnormal_congruence",
-    "frattini_coordinates",
     "check_expected_invariants",
     "check_congruence_subnormality",
     "check_frattini_t2_structure",
@@ -100,7 +101,6 @@ __all__ = [
 DEFAULT_EXHAUSTIVE_THRESHOLD = 2048
 
 # Sample sizes of the checks that sample their inputs.
-_SAMPLES_PER_CELL = 10     # congruence-subnormality, per Frattini coset
 _CYCLIC_TRIALS = 200       # cyclic-closure-class
 _GENERATED_TRIALS = 12     # generated-subgroup-class, per generator count
 _INHERITANCE_TRIALS = 20   # subgroup-t2-inheritance
@@ -250,24 +250,24 @@ def two_subnormal_congruence(p: int, m: int, n: int) -> bool:
     return (m == 0 and n == 0) or (m + n) % p != 0
 
 
-def frattini_coordinates(group: ConcreteGroup, g: int) -> tuple[int, int]:
-    """Coordinates (m, n) with g = x^m y^n z for some z in the Frattini
-    subgroup, where x and y are the two defining generators."""
-    p = group.meta["prime"]
-    x = group.gen_element(0)
-    y = group.gen_element(1)
+def _frattini_labels(group: ConcreteGroup, p: int):
+    """Every element's Frattini coordinates (m, n) as two numpy arrays: the
+    exponent sums of x and y, mod p, in its word along the BFS tree.
+
+    G/Φ(G) is C_p × C_p on the images of x and y, so any word for g gives
+    g's coordinates.  The elements labelled (0, 0) must be exactly the
+    Frattini subgroup, so every element has exactly one pair."""
     frat = frattini_p_group(group, p)
-    hits = []
-    for m in range(p):
-        for n in range(p):
-            z = group.mult(group.power(y, -n),
-                           group.mult(group.power(x, -m), g))
-            if z in frat.elemset:
-                hits.append((m, n))
-    if len(hits) != 1:
-        raise GroupError(
-            f"element {g} has {len(hits)} Frattini coordinate pairs")
-    return hits[0]
+    if group.ngens != 2 or group.size != p * p * frat.size:
+        raise GroupError("G/Φ(G) is not C_p × C_p on the two generators")
+    step = np.array([[1, 0], [p - 1, 0], [0, 1], [0, p - 1]])
+    labels = np.zeros((group.size, 2), dtype=np.int64)
+    for l, parents, children in group._tree:
+        labels[children] = (labels[parents] + step[l]) % p
+    if not np.array_equal(np.flatnonzero(~labels.any(axis=1)), frat.elements):
+        raise GroupError("the elements labelled (0, 0) are not the "
+                         "Frattini subgroup")
+    return labels[:, 0], labels[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -298,67 +298,51 @@ def check_expected_invariants(group: ConcreteGroup) -> TheoremCheck:
     return _verdict(cid, not mismatches, details)
 
 
-def check_congruence_subnormality(
-        group: ConcreteGroup, *,
-        exhaustive_threshold: int = DEFAULT_EXHAUSTIVE_THRESHOLD,
-        seed: int = 0) -> TheoremCheck:
-    """On the class-3 family: <g> is 2-subnormal exactly when the congruence
-    rule on the Frattini coordinates of g says so, and the defining bracket
-    identities for g = x^m y^n z hold."""
+def check_congruence_subnormality(group: ConcreteGroup) -> TheoremCheck:
+    """On the class-3 family, at every element g = x^m y^n z: <g> is
+    2-subnormal exactly when the congruence rule on (m, n) says so, and the
+    defining bracket identities hold.
+
+    Coordinates and defects are conjugation invariant, so the rule is
+    decided once per class; the identities are checked over all elements
+    at once.  A failure names the first failing element in index order,
+    the rule before the identities."""
     cid = "congruence-subnormality"
     if group.meta.get("family") != "class3":
         return _skip(cid, "congruence rule only applies to the class-3 family")
     p = group.meta["prime"]
     q = p * p
-    x = group.gen_element(0)
-    y = group.gen_element(1)
-    frat = frattini_p_group(group, p)
-    # The bracket identities of g = x^m y^n z, as (name, holds(g, m, n)).
-    identities = (
-        ("[x,g,g] = x^(n^2 p^2)", lambda g, m, n:
-         group.comm(group.comm(x, g), g) == group.power(x, (n * n) * q)),
-        ("[y,g,g] = x^(-mn p^2)", lambda g, m, n:
-         group.comm(group.comm(y, g), g) == group.power(x, (-m * n) * q)),
-        ("g^(p^2) = x^((m+n) p^2)", lambda g, m, n:
-         group.power(g, q) == group.power(x, (m + n) * q)),
-    )
+    m, n = _frattini_labels(group, p)
+    failures = []  # (first failing element, details), rule failures first
+    for rep, _, res in _defect_scan(group):
+        predicted = two_subnormal_congruence(p, int(m[rep]), int(n[rep]))
+        if predicted != res.within(2):
+            failures.append((group._class_rep[rep], {
+                "predicted": predicted, "actual": res.within(2)}))
 
-    if group.size <= exhaustive_threshold:
-        todo = list(range(group.size))
-        mode = "exhaustive"
-    else:
-        rng = random.Random(seed)
-        felems = list(frat.elements)
-        todo = []
-        for m in range(p):
-            for n in range(p):
-                base = group.mult(group.power(x, m), group.power(y, n))
-                for z in rng.sample(felems, _SAMPLES_PER_CELL):
-                    todo.append(group.mult(base, z))
-        mode = "transversal-sampled"
+    x, y = group.generator_elements()
+    every = np.arange(group.size)
+    xq = np.array([group.power(x, k * q) for k in range(p)])  # x^(k p^2)
+    names = ("[x,g,g] = x^(n^2 p^2)", "[y,g,g] = x^(-mn p^2)",
+             "g^(p^2) = x^((m+n) p^2)")
+    holds = np.array([
+        group.comm_batch(group.comm_batch(x, every), every) == xq[n * n % p],
+        group.comm_batch(group.comm_batch(y, every), every) == xq[-m * n % p],
+        group.power_batch(every, q) == xq[(m + n) % p],
+    ])
+    bad = np.flatnonzero(~holds.all(axis=0))
+    if bad.size:
+        g = int(bad[0])
+        failures.append((g, {"identity": names[np.argmin(holds[:, g])]}))
 
-    checked = 0
-    for g in todo:
-        m, n = frattini_coordinates(group, g)
-        predicted = two_subnormal_congruence(p, m, n)
-        actual = is_n_subnormal(group, g, 2)
-        if predicted != actual:
-            details = {"mode": mode, "coordinates": [m, n],
-                       "predicted": predicted, "actual": actual}
-            return _verdict(cid, False, details,
-                            witness=str(group.element_word(g)))
-        for name, holds in identities:
-            if not holds(g, m, n):
-                return _verdict(cid, False,
-                                {"mode": mode, "identity": name,
-                                 "coordinates": [m, n]},
-                                witness=str(group.element_word(g)))
-        checked += 1
-    details = {"mode": mode, "count": checked, "prime": p}
-    if mode != "exhaustive":
-        details["seed"] = seed
-        details["samples_per_cell"] = _SAMPLES_PER_CELL
-    return _verdict(cid, True, details)
+    if failures:
+        g, found = min(failures, key=lambda f: f[0])
+        details = {"mode": "exhaustive",
+                   "coordinates": [int(m[g]), int(n[g])], **found}
+        return _verdict(cid, False, details,
+                        witness=str(group.element_word(g)))
+    return _verdict(cid, True,
+                    {"mode": "exhaustive", "count": group.size, "prime": p})
 
 
 def check_frattini_t2_structure(group: ConcreteGroup) -> TheoremCheck:
@@ -783,8 +767,7 @@ _SUITE_CHECKS = (
     ("expected-invariants",
      lambda g, threshold, seed: check_expected_invariants(g)),
     ("congruence-subnormality",
-     lambda g, threshold, seed: check_congruence_subnormality(
-         g, exhaustive_threshold=threshold, seed=seed)),
+     lambda g, threshold, seed: check_congruence_subnormality(g)),
     ("frattini-t2-structure",
      lambda g, threshold, seed: check_frattini_t2_structure(g)),
     ("cyclic-closure-class",

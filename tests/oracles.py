@@ -464,6 +464,30 @@ def per_element_cyclic_closure_class(group, *, exhaustive_threshold=2048,
     return verify._verdict(cid, True, details)
 
 
+# -- Frattini coordinates by trial division -----------------------------------
+
+def frattini_coordinates(group, g):
+    """Coordinates (m, n) with g = x^m y^n z for some z in the Frattini
+    subgroup, where x and y are the two defining generators."""
+    from baerkit.core import GroupError, frattini_p_group
+
+    p = group.meta["prime"]
+    x = group.gen_element(0)
+    y = group.gen_element(1)
+    frat = frattini_p_group(group, p)
+    hits = []
+    for m in range(p):
+        for n in range(p):
+            z = group.mult(group.power(y, -n),
+                           group.mult(group.power(x, -m), g))
+            if z in frat.elemset:
+                hits.append((m, n))
+    if len(hits) != 1:
+        raise GroupError(
+            f"element {g} has {len(hits)} Frattini coordinate pairs")
+    return hits[0]
+
+
 # -- right Engel elements ------------------------------------------------------
 
 def right_engel_elements(group, n):

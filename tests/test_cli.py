@@ -422,7 +422,7 @@ def _pinned(out, digest):
 def test_check_theorems_json_report_bytes_are_pinned():
     out = run_cli("check-theorems", "--format", "json", "--seed", "1234")
     _pinned(out,
-            "b31d497eac11624a0272006522218e222f1e9437844552561617b527df690142")
+            "f248e6ce96dffb1a4f2cb9f1078e64ff4ff189b87695b4473bca6557e387eefd")
 
 
 def test_corpus_mixed_report_bytes_are_pinned(tmp_path, monkeypatch):
@@ -443,9 +443,9 @@ def test_corpus_mixed_report_bytes_are_pinned(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("primes, digest", [
-    ((), "ec41fc157c1e1e404804d3b9d8a3b21c4e11a92bdfe0287de94b35e2eed81ee8"),
+    ((), "c008787339e86199011d1f94be6753b73a857ee5c672e824b3cfe8b2ef029b9b"),
     (("--primes", "7"),
-     "9e7f6a1ea5ad4813d3ba093a2dd2a786b0f33f4a335c6909479f02c3a9b1cd8c"),
+     "e145225874ec1f7adbc6725cfa5a6f909387524a2bfa23db89ce6be02c8e899a"),
 ], ids=["default", "p7"])
 def test_verify_examples_json_report_bytes_are_pinned(primes, digest):
     _pinned(run_cli("verify-examples", *primes, "--format", "json"), digest)

@@ -16,7 +16,12 @@ from baerkit.subnormal import (
     t_n_subgroup,
     t_n_within,
 )
-from baerkit.verify import build_group, cyclic_presentation, dihedral_presentation
+from baerkit.verify import (
+    build_class3_p_group,
+    build_group,
+    cyclic_presentation,
+    dihedral_presentation,
+)
 
 from oracles import (
     naive_all_subgroups,
@@ -205,6 +210,18 @@ def test_classification_labels(s3, q8, d16, class3_p2):
 def test_classify_histograms_frozen(s3, d8):
     assert classify(s3).defect_histogram == {"1": 3, "none": 3}
     assert classify(d8).defect_histogram == {"1": 4, "2": 4}
+
+
+def test_class3_defect_histograms_match_their_closed_forms(
+        class3_p2, class3_p3, class3_p5):
+    # For odd p, p^2 (p^2 - p + 1) elements of defect 1 and (p - 1) p^4 of
+    # defect 3, the rest at defect 2; p = 2 has its own counts.
+    assert classify(class3_p2).defect_histogram == {"1": 10, "2": 38, "3": 16}
+    for p, group in ((3, class3_p3), (5, class3_p5),
+                     (7, build_class3_p_group(7))):
+        ones, threes = p**2 * (p**2 - p + 1), (p - 1) * p**4
+        assert classify(group).defect_histogram == {
+            "1": ones, "2": p**6 - ones - threes, "3": threes}
 
 
 def test_classify_reports_whole_group_data(class3_p2):

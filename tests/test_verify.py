@@ -5,12 +5,19 @@ import subprocess
 import sys
 from functools import partial
 
+import numpy as np
 import pytest
 
 from baerkit import verify
 from baerkit.core import GroupError, normal_closure
 from baerkit.engel import IdentityCheck
-from baerkit.subnormal import GENERALIZED_T2, TWO_BAER, cyclic_defect
+from baerkit.subnormal import (
+    GENERALIZED_T2,
+    TWO_BAER,
+    DefectResult,
+    _defect_scan,
+    cyclic_defect,
+)
 from baerkit.verify import (
     CorpusEntry,
     alternating4_presentation,
@@ -26,7 +33,6 @@ from baerkit.verify import (
     cyclic_presentation,
     default_corpus,
     dihedral_presentation,
-    frattini_coordinates,
     parse_corpus_text,
     quaternion_presentation,
     run_example_checks,
@@ -35,7 +41,7 @@ from baerkit.verify import (
     two_subnormal_congruence,
 )
 
-from oracles import per_element_cyclic_closure_class
+from oracles import frattini_coordinates, per_element_cyclic_closure_class
 
 CORPUS_TEXT = """\
 # tiny corpus for driver tests
@@ -307,17 +313,21 @@ def test_cyclic_closure_class_names_the_first_failing_element(
 
 
 def test_congruence_check_names_the_first_failing_identity(monkeypatch):
-    # A comm that is off whenever its first argument is y breaks only the
-    # second bracket identity: the check names it, with the coordinates,
-    # at the first element where it fails.
+    # A comm_batch that is off wherever its first argument is y breaks only
+    # the second bracket identity: the check names it, with the
+    # coordinates, at the first element where it fails.
     group = build_class3_p_group(2)
     x, y = group.generator_elements()
-    real = group.comm
-    monkeypatch.setattr(group, "comm", lambda a, b: (
-        group.mult(real(a, b), x) if a == y else real(a, b)))
+    real = group.comm_batch
+    monkeypatch.setattr(group, "comm_batch", lambda a, b: np.where(
+        np.equal(a, y), group.mult_batch(real(a, b), x), real(a, b)))
+
+    def comm(a, b):
+        return group.mult(group.comm(a, b), x) if a == y else group.comm(a, b)
+
     for g in range(group.size):
         m, n = frattini_coordinates(group, g)
-        if group.comm(group.comm(y, g), g) != group.power(x, -m * n * 4):
+        if comm(comm(y, g), g) != group.power(x, -m * n * 4):
             break
     else:
         pytest.fail("the patched identity holds everywhere")
@@ -327,6 +337,55 @@ def test_congruence_check_names_the_first_failing_identity(monkeypatch):
                              "identity": "[y,g,g] = x^(-mn p^2)",
                              "coordinates": [m, n]}
     assert check.witness == str(group.element_word(g))
+
+
+def test_congruence_check_names_the_first_element_breaking_the_rule():
+    # The scan may represent a class by any member.  With one class's
+    # defect corrupted and its last member as the representative, the
+    # check still names the class's first element in index order, with
+    # the rule's prediction and the (corrupted) defect's verdict.
+    group = build_class3_p_group(3)
+    scan = list(_defect_scan(group))
+    i = next(i for i, cl in enumerate(group.conjugacy_classes())
+             if len(cl) > 1 and i > 0)
+    cl = group.conjugacy_classes()[i]
+    rep, size, res = scan[i]
+    wrong = DefectResult(3 if res.within(2) else 1)
+    scan[i] = (cl[-1], size, wrong)
+    group._defect_scan = scan
+    m, n = frattini_coordinates(group, cl[0])
+    check = verify.check_congruence_subnormality(group)
+    assert check.status == "fail"
+    assert check.details == {"mode": "exhaustive", "coordinates": [m, n],
+                             "predicted": two_subnormal_congruence(3, m, n),
+                             "actual": wrong.within(2)}
+    assert check.details["predicted"] != check.details["actual"]
+    assert check.witness == str(group.element_word(cl[0]))
+    assert check.witness != str(group.element_word(cl[-1]))
+
+
+@pytest.mark.parametrize("text, prime", [
+    ("gens: x, y; rels: x^9; y = x^3", 3),  # G/Φ(G) = C_3
+    ("gens: x; rels: x^4", 2),  # one generator
+    ("gens: x, y, z; rels: x^2; y^2; z^2; [x,y]; [x,z]; [y,z]", 2),
+])
+def test_congruence_check_rejects_a_group_without_two_frattini_coordinates(
+        text, prime):
+    group = build_group(text, name="bad")
+    group.meta.update({"family": "class3", "prime": prime})
+    with pytest.raises(GroupError, match="C_p × C_p"):
+        verify.check_congruence_subnormality(group)
+
+
+def test_frattini_labels_match_the_trial_division_reference(
+        class3_p2, class3_p3, class3_p5):
+    for group, todo in ((class3_p2, range(class3_p2.size)),
+                        (class3_p3, range(class3_p3.size)),
+                        (class3_p5, random.Random(5).sample(
+                            range(class3_p5.size), 200))):
+        m, n = verify._frattini_labels(group, group.meta["prime"])
+        for g in todo:
+            assert (m[g], n[g]) == frattini_coordinates(group, g)
 
 
 def test_quotient_two_baer_skips_when_t2_is_trivial(d8, class3_p3):
