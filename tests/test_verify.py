@@ -347,9 +347,9 @@ def test_congruence_check_names_the_first_element_breaking_the_rule():
     group = build_class3_p_group(3)
     scan = list(_defect_scan(group))
     i = next(i for i, cl in enumerate(group.conjugacy_classes())
-             if len(cl) > 1 and i > 0)
+             if len(cl) > 1)
     cl = group.conjugacy_classes()[i]
-    rep, size, res = scan[i]
+    _, size, res = scan[i]
     wrong = DefectResult(3 if res.within(2) else 1)
     scan[i] = (cl[-1], size, wrong)
     group._defect_scan = scan
