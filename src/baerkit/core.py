@@ -134,8 +134,9 @@ class ConcreteGroup:
         _check_columns(stack[:base])
         # One int object per element, shared by all columns: a walk then
         # reads n objects laid out in order, not one per column entry.
-        # Lists indexed out of this object array share the ints.
-        ints = np.arange(n).astype(object)
+        # Lists indexed out of this object array share the ints, so every
+        # per-element list made from a numpy array is taken from _ints.
+        self._ints = ints = np.arange(n).astype(object)
         self.cols = ints[stack[:base]].tolist()
         self._search_words(stack, ints)
         self._drop_memos()
@@ -237,7 +238,7 @@ class ConcreteGroup:
 
     @cached_property
     def _inv(self) -> list[int]:
-        return self._inv_table.tolist()
+        return self._ints[self._inv_table].tolist()
 
     def inv(self, a: int) -> int:
         return self._inv[a]
@@ -384,13 +385,14 @@ class ConcreteGroup:
 
     @cached_property
     def _classes(self) -> list[list[int]]:
-        perms = [p.tolist() for p in self._conj_perms[::2]]
+        ints = self._ints
+        perms = [ints[p].tolist() for p in self._conj_perms[::2]]
         seen = [False] * self.size
         classes = []
         for e in range(self.size):
             if seen[e]:
                 continue
-            orbit = [e]
+            orbit = [ints[e]]
             seen[e] = True
             for x in orbit:
                 for p in perms:
@@ -797,7 +799,7 @@ def _pullback(group: ConcreteGroup, comms, sub: Subgroup) -> Subgroup:
     keep = np.ones(group.size, dtype=bool)
     for c in comms:
         keep &= member[c]
-    return Subgroup.from_elements(group, np.flatnonzero(keep).tolist())
+    return Subgroup.from_elements(group, group._ints[np.flatnonzero(keep)].tolist())
 
 
 def exponent(g) -> int:

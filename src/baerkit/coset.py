@@ -447,7 +447,9 @@ def _close_relators(cols: np.ndarray, labs, rel_words, order: int) -> int:
     """Walk each relator from every coset at once, one gather per letter,
     and raise RuntimeError unless it returns each coset to itself.
     Returns the gcd of order and the labels the relators close with;
-    labs is read only while that gcd is not 1."""
+    labs is read only while that gcd is not 1.  The labels' gcd is
+    np.gcd.reduce's, exact and never negative on int64; np.unique would
+    import numpy.ma."""
     every = np.arange(cols.shape[1])
     for w in rel_words:
         x, k = every, 0
@@ -457,7 +459,8 @@ def _close_relators(cols: np.ndarray, labs, rel_words, order: int) -> int:
             x = cols[l][x]
         if (x != every).any():
             raise RuntimeError("relator does not close on the final table")
-        order = gcd(order, *np.unique(k).tolist())
+        if order != 1:
+            order = gcd(order, int(np.gcd.reduce(k)))
     return order
 
 

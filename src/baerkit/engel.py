@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from math import comb, prod
 
 import numpy as np
@@ -52,18 +51,22 @@ EXPANSION_EXHAUSTIVE_ORDER = 64
 
 
 def _inputs(rng: random.Random, pools, trials: int,
-            limit: int) -> tuple[list[tuple], str]:
-    """The input tuples an identity check runs on, and its mode.
+            limit: int) -> tuple[np.ndarray, str]:
+    """The input tuples an identity check runs on, as an int64 array of
+    columns (one row per pool, one column per tuple), and its mode.
 
-    Every tuple of the product of the pools ("exhaustive") when there
-    are at most `limit` of them; otherwise `trials` tuples whose entries
-    are drawn from their pools in order with `rng.choice` ("sampled").
-    Pools are sequences, so a pool `range(n)` draws what
-    `rng.randrange(n)` would."""
+    Every tuple of the product of the pools, in itertools.product
+    order ("exhaustive"), when there are at most `limit` of them;
+    otherwise `trials` tuples whose entries are drawn from their pools
+    in order with `rng.choice` ("sampled").  Pools are sequences, so a
+    pool `range(n)` draws what `rng.randrange(n)` would."""
     if prod(len(pool) for pool in pools) <= limit:
-        return list(product(*pools)), "exhaustive"
-    return [tuple(rng.choice(pool) for pool in pools)
-            for _ in range(trials)], "sampled"
+        axes = [np.asarray(pool, dtype=np.int64) for pool in pools]
+        grids = np.meshgrid(*axes, indexing="ij", copy=False)
+        return np.stack(grids).reshape(len(pools), -1), "exhaustive"
+    draws = [rng.choice(pool) for _ in range(trials) for pool in pools]
+    cols = np.array(draws, dtype=np.int64).reshape(trials, len(pools)).T
+    return cols, "sampled"
 
 
 @dataclass(frozen=True)
@@ -190,21 +193,21 @@ def _identity(group: ConcreteGroup, name: str, mismatch, rng: random.Random,
     label, the last pool is a per-tuple n or m, and mismatch gets the
     tuples sharing each value, then the value.  The witness is the first
     masked tuple, the one a loop over the tuples in order stops at."""
-    tuples, mode = _inputs(rng, pools, trials, _EXHAUSTIVE_EVALS)
-    cols = np.array(tuples, dtype=np.int64).reshape(len(tuples), len(pools)).T
+    cols, mode = _inputs(rng, pools, trials, _EXHAUSTIVE_EVALS)
+    count = cols.shape[1]
     if label is None:
         bad = mismatch(*cols)
     else:
-        bad = np.zeros(len(tuples), dtype=bool)
+        bad = np.zeros(count, dtype=bool)
         for v in set(pools[-1]):
             sel = cols[-1] == v
             bad[sel] = mismatch(*(c[sel] for c in cols[:-1]), v)
     witness = None
     if bad.any():
-        t = tuples[int(np.argmax(bad))]
+        t = cols[:, int(np.argmax(bad))].tolist()
         witness = (_pair_words(group, *t) if label is None else
                    _pair_words(group, *t[:-1]) + f", {label}={t[-1]}")
-    return IdentityCheck(name, witness is None, mode, len(tuples), witness)
+    return IdentityCheck(name, witness is None, mode, count, witness)
 
 
 def check_metabelian_identities(
@@ -327,11 +330,11 @@ def check_expansion_formula(
     elems = range(group.size)
     pairs, mode = _inputs(random.Random(seed), (elems, elems), trials,
                           exhaustive_order_bound ** 2)
-    x, y = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
     checks = []
-    for n, ok in zip(n_values, _expansion_holds(group, x, y, n_values)):
+    for n, ok in zip(n_values, _expansion_holds(group, *pairs, n_values)):
         # The first False in ok is the first failing pair in input order.
-        witness = None if ok.all() else _pair_words(group, *pairs[int(np.argmin(ok))])
+        witness = (None if ok.all() else
+                   _pair_words(group, *pairs[:, int(np.argmin(ok))].tolist()))
         checks.append(IdentityCheck(f"power-expansion-n{n}", witness is None,
-                                    mode, len(pairs), witness))
+                                    mode, pairs.shape[1], witness))
     return checks

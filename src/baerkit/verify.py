@@ -464,10 +464,11 @@ def check_generated_subgroup_class(
     counts = {}
     for d in (1, 2, 3):
         bound = 2 * (d + 1)
-        tuples, mode = _inputs(rng, (range(group.size),) * d,
-                               _GENERATED_TRIALS, exhaustive_threshold)
+        cols, mode = _inputs(rng, (range(group.size),) * d,
+                             _GENERATED_TRIALS, exhaustive_threshold)
+        tuples = group._ints[cols.T].tolist()
         for gens in tuples:
-            sub = Subgroup.generated(group, list(gens))
+            sub = Subgroup.generated(group, gens)
             cls = nilpotency_class(sub)
             if cls is None or cls > bound:
                 return _verdict(cid, False,

@@ -316,8 +316,9 @@ def scalar_metabelian_identities(group, trials=200, seed=0, engel_ns=(1, 2, 3)):
     elems = range(group.size)
     _inputs, IdentityCheck = engel._inputs, engel.IdentityCheck
 
-    triples, mode = _inputs(rng, (derived, elems, elems), trials,
-                            engel._EXHAUSTIVE_EVALS)
+    cols, mode = _inputs(rng, (derived, elems, elems), trials,
+                         engel._EXHAUSTIVE_EVALS)
+    triples = cols.T.tolist()
     witness = None
     for c, x, y in triples:
         if group.comm(group.comm(c, x), y) != group.comm(group.comm(c, y), x):
@@ -326,8 +327,9 @@ def scalar_metabelian_identities(group, trials=200, seed=0, engel_ns=(1, 2, 3)):
     checks.append(IdentityCheck("swap-entries-after-first", witness is None,
                                 mode, len(triples), witness))
 
-    quads, mode = _inputs(rng, (elems, elems, elems, engel_ns), trials,
-                          engel._EXHAUSTIVE_EVALS)
+    cols, mode = _inputs(rng, (elems, elems, elems, engel_ns), trials,
+                         engel._EXHAUSTIVE_EVALS)
+    quads = cols.T.tolist()
     witness = None
     for x, y, z, n in quads:
         lhs = _scalar_bracket(group, group.mult(x, y), z, n)
@@ -346,8 +348,9 @@ def scalar_metabelian_identities(group, trials=200, seed=0, engel_ns=(1, 2, 3)):
             "power-in-any-slot", None, "skipped", 0,
             note=f"needs nilpotency class at most 3, group has {cls}"))
         return checks
-    cases, mode = _inputs(rng, (elems, elems, elems, (-2, -1, 2, 3, 5)),
-                          trials, engel._EXHAUSTIVE_EVALS)
+    cols, mode = _inputs(rng, (elems, elems, elems, (-2, -1, 2, 3, 5)),
+                         trials, engel._EXHAUSTIVE_EVALS)
+    cases = cols.T.tolist()
     witness = None
     for x, y, z, m in cases:
         want = group.power(group.comm(group.comm(x, y), z), m)
@@ -385,8 +388,9 @@ def scalar_expansion_formula(group, n_values=(1, 2, 3, 4, 5, 6), trials=200,
     from baerkit.engel import IdentityCheck, _inputs
 
     elems = range(group.size)
-    pairs, mode = _inputs(random.Random(seed), (elems, elems), trials,
-                          exhaustive_order_bound ** 2)
+    cols, mode = _inputs(random.Random(seed), (elems, elems), trials,
+                         exhaustive_order_bound ** 2)
+    pairs = cols.T.tolist()
     checks = []
     for n in n_values:
         witness = None

@@ -59,7 +59,7 @@ def _corpus_entry(name):
 # What __init__ sets apart from the memos; every other attribute of a
 # freshly built group is a memo.
 _CONSTRUCTION = {"size", "cols", "presentation", "gen_names", "meta",
-                 "_word_tree", "ext_cols", "_npcols", "shallow_word"}
+                 "_ints", "_word_tree", "ext_cols", "_npcols", "shallow_word"}
 
 
 def _holds_subgroup(value):

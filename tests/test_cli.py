@@ -297,6 +297,34 @@ def test_check_theorems_does_not_load_hashlib(tmp_path):
     assert out.stderr == "0 []\n"
 
 
+def test_commands_load_no_numpy_module_beyond_import_numpy(tmp_path):
+    # Each numpy submodule costs resident memory: numpy.ma, which
+    # np.unique imports in numpy 2, adds about 1.25 MB.  The baseline is
+    # what `import numpy` alone loads, since numpy 1 imports numpy.ma
+    # eagerly.
+    pres = tmp_path / "d8.txt"
+    pres.write_text("gens: r, s; rels: r^4; s^2; (r*s)^2\n")
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("C4 | gens: a; rels: a^4\n")
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.split('.')[0] == 'numpy'}\n"
+        "base = loaded()\n"
+        "from baerkit.cli import main\n"
+        f"for args in (['analyze', {str(pres)!r}], ['verify-examples'],\n"
+        f"             ['check-theorems', '--corpus', {str(corpus)!r}]):\n"
+        "    code = main(args)\n"
+        "    print(args[0], code, sorted(loaded() - base), file=sys.stderr)\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stderr == ("analyze 0 []\n"
+                          "verify-examples 0 []\n"
+                          "check-theorems 0 []\n")
+
+
 def test_unknown_flag_exits_with_input_error():
     out = run_cli("analyze", "--frobnicate")
     assert out.returncode == 1

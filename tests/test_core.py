@@ -27,7 +27,12 @@ from baerkit.core import (
     upper_central_series,
 )
 from baerkit.presentation import Word, free_reduce, parse_word
-from baerkit.verify import build_group, cyclic_presentation, dihedral_presentation
+from baerkit.verify import (
+    build_class3_p_group,
+    build_group,
+    cyclic_presentation,
+    dihedral_presentation,
+)
 
 from oracles import (
     c6_model,
@@ -433,6 +438,38 @@ def test_element_orders_and_exponent_agree_with_naive_loop(map_groups):
         orders = [naive_order(group, e) for e in range(group.size)]
         assert [group.element_order(e) for e in range(group.size)] == orders
         assert exponent(group) == math.lcm(*orders)
+
+
+def _shares_ints(group, values):
+    ints = group._ints
+    return all(v is ints[v] for v in values)
+
+
+def test_per_element_lists_share_the_groups_ints():
+    # Fresh groups, so that no earlier test has filled their memos or
+    # subgroup tables.  Only the orders past 256 tell shared ints from
+    # equal ones; CPython keeps one object for each int up to 256.
+    d16 = build_group(dihedral_presentation(16))
+    product = direct_product(build_group(dihedral_presentation(16)),
+                             build_group(cyclic_presentation(81)))
+    z = product.meta["embed_left"][center(product.meta["factors"][0]).elements[1]]
+    groups = [build_class3_p_group(3), d16, product,
+              quotient(product, Subgroup.cyclic(product, z))]
+    assert [g.size for g in groups] == [729, 16, 1296, 648]
+    for group in groups:
+        assert group._inv == group._inv_table.tolist()
+        assert _shares_ints(group, group._inv)
+        classes = group._classes
+        assert sorted(e for cl in classes for e in cl) == list(range(group.size))
+        assert [cl[0] for cl in classes] == sorted(cl[0] for cl in classes)
+        for cl in classes:
+            assert cl == sorted(cl)
+            assert {int(p[e]) for p in group._conj_perms for e in cl} <= set(cl)
+            assert _shares_ints(group, cl)
+        assert all(group._class_rep[e] == cl[0] for cl in classes for e in cl)
+        assert _shares_ints(group, group._class_rep)
+        for term in (center(group), *upper_central_series(group)):
+            assert _shares_ints(group, term.elements + term.gens)
 
 
 def test_nilpotency_class_frozen(s3, s4, d8, d16, q8):

@@ -1,19 +1,25 @@
 import hashlib
 import json
 import tracemalloc
+from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baerkit.coset import (
     DEFAULT_MAX_COSETS,
     CosetTable,
     EnumerationLimitError,
+    _close_relators,
+    _letter_words,
     _letters,
     _validate,
     enumerate_cosets,
     to_group,
 )
-from baerkit.presentation import parse_presentation, parse_word
+from baerkit.presentation import parse_presentation, parse_word, word
 from baerkit.verify import (
     alternating4_presentation,
     build_class3_p_group,
@@ -297,3 +303,63 @@ def test_infinite_subgroup_gives_order_zero_and_no_group():
     assert (table.coset_count, table.subgroup_order) == (2, 0)
     with pytest.raises(EnumerationLimitError, match="infinite"):
         to_group(table)
+
+
+# -- the gcd of the labels the relators close with ---------------------------
+
+def _unique_gcd_reference(cols, labs, rel_words, order):
+    # The gcd as it was first taken: over the distinct label sums.
+    every = np.arange(cols.shape[1])
+    for w in rel_words:
+        x, k = every, 0
+        for l in w:
+            if order != 1:
+                k = k + labs[l][x]
+            x = cols[l][x]
+        order = gcd(order, *np.unique(k).tolist())
+    return order
+
+
+def _table_arrays(pres, subgroup_word):
+    table = enumerate_cosets(pres, (subgroup_word,))
+    n = table.coset_count
+    cols = np.array(table.cols, dtype=np.int64).reshape(len(table.cols), n)
+    labs = np.array(table.labels, dtype=np.int64).reshape(cols.shape)
+    return cols, labs, _letter_words(pres, pres.relators)
+
+
+def _assert_gcd_matches_reference(cols, labs, rel_words):
+    # Entry 0 is _validate's with a subgroup generator, 1 its entry
+    # without one (labs is then never read); -labs makes every label
+    # sum negate, so the gcd must not depend on the signs.
+    assert _close_relators(cols, None, rel_words, 1) == 1
+    for table_labs in (labs, -labs):
+        for order in (0, 12):
+            assert (_close_relators(cols, table_labs, rel_words, order)
+                    == _unique_gcd_reference(cols, table_labs, rel_words, order))
+
+
+def test_relator_gcd_matches_the_unique_reference_on_the_corpus(corpus_groups):
+    for name, group in corpus_groups:
+        for part in group.meta.get("factors", (group,)):
+            pres = part.presentation
+            cols, labs, rel_words = _table_arrays(pres, word(pres.generators[0]))
+            assert (labs < 0).any(), name
+            _assert_gcd_matches_reference(cols, labs, rel_words)
+
+
+# Metacyclic presentations a^m, b^n, a^b = a^r: <a> is normal, so the
+# group has order at most m*n and every enumeration ends.
+_letter = st.sampled_from(["a", "a^-1", "b", "b^-1"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 6),
+       st.integers(-3, 3).filter(lambda r: r != 0),
+       st.lists(_letter, min_size=1, max_size=4))
+def test_relator_gcd_matches_the_unique_reference_on_small_presentations(
+        m, n, r, letters):
+    pres = parse_presentation(f"gens: a, b; rels: a^{m}; b^{n}; b^-1*a*b = a^{r}")
+    sub = parse_word("*".join(letters), pres.generators)
+    cols, labs, rel_words = _table_arrays(pres, sub)
+    _assert_gcd_matches_reference(cols, labs, rel_words)

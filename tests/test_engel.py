@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from baerkit import engel
-from baerkit.core import ConcreteGroup, GroupError, Subgroup, nilpotency_class
+from baerkit.core import (
+    ConcreteGroup,
+    GroupError,
+    Subgroup,
+    derived_subgroup,
+    nilpotency_class,
+)
 from baerkit.engel import (
     _inputs,
     _iterated,
@@ -377,10 +383,11 @@ def test_expansion_check_takes_n_values_in_any_order(
 
 def test_inputs_enumerate_up_to_the_limit_and_sample_past_it():
     pools = ((3, 5, 7), range(4), (-1, 2))
-    tuples, mode = _inputs(random.Random(1), pools, 10, 24)
+    cols, mode = _inputs(random.Random(1), pools, 10, 24)
     assert mode == "exhaustive"
-    assert tuples == list(product(*pools))
-    tuples, mode = _inputs(random.Random(1), pools, 10, 23)
+    assert cols.T.tolist() == [list(t) for t in product(*pools)]
+    cols, mode = _inputs(random.Random(1), pools, 10, 23)
+    tuples = cols.T.tolist()
     assert mode == "sampled"
     assert len(tuples) == 10
     assert all(len(t) == 3 and all(v in pool for v, pool in zip(t, pools))
@@ -397,4 +404,50 @@ def test_inputs_sample_the_same_draws_as_randrange():
     elems = range(size)
     new, mode = _inputs(random.Random(77), (derived, elems, elems, ns), 30, 0)
     assert mode == "sampled"
-    assert new == old
+    assert new.T.tolist() == [list(t) for t in old]
+
+
+def test_input_columns_hold_the_product_in_order(class3_p2):
+    pools = (derived_subgroup(class3_p2).elements, range(7), (-2, -1, 2, 3, 5))
+    count = len(pools[0]) * 7 * 5
+    cols, mode = _inputs(random.Random(0), pools, 10, count)
+    assert mode == "exhaustive"
+    assert cols.dtype == np.int64 and cols.shape == (3, count)
+    assert cols.T.tolist() == [list(t) for t in product(*pools)]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 91])
+def test_sampled_input_columns_repeat_the_choice_draws(class3_p2, seed):
+    pools = (derived_subgroup(class3_p2).elements, range(64), (-2, -1, 2, 3, 5))
+    rng = random.Random(seed)
+    want = [[rng.choice(pool) for pool in pools] for _ in range(40)]
+    cols, mode = _inputs(random.Random(seed), pools, 40, 100)
+    assert mode == "sampled"
+    assert cols.dtype == np.int64 and cols.shape == (3, 40)
+    assert cols.T.tolist() == want
+
+
+def test_forced_failures_name_the_first_failing_tuple(monkeypatch):
+    # comm is off wherever its first argument is r^2, in the batched and
+    # the scalar arithmetic alike, so every family fails somewhere and
+    # each check must name the tuple the scalar loop over its inputs
+    # stops at.  That loop takes its tuples from the same _inputs, so the
+    # witnesses are pinned as well: they fix the input order too.
+    group = build_group(dihedral_presentation(16))
+    r = group.gen_element(0)
+    t = group.word_to_element(parse_word("r^2", group.gen_names))
+    comm_batch, comm = group.comm_batch, group.comm
+    monkeypatch.setattr(group, "comm_batch", lambda a, b: np.where(
+        np.equal(a, t), group.mult_batch(comm_batch(a, b), r), comm_batch(a, b)))
+    monkeypatch.setattr(group, "comm", lambda a, b: (
+        group.mult(comm(a, b), r) if a == t else comm(a, b)))
+    got = check_metabelian_identities(group, seed=5)
+    assert got == scalar_metabelian_identities(group, seed=5)
+    assert [(c.name, c.holds, c.mode, c.witness) for c in got] == [
+        ("swap-entries-after-first", False, "exhaustive", "r^2, 1, s"),
+        ("product-in-first-slot", False, "exhaustive", "r, r, 1, n=1"),
+        ("power-in-any-slot", False, "sampled", "r^3, r^-2*s, 1, m=3"),
+    ]
+    got = check_expansion_formula(group, seed=5)
+    assert got == scalar_expansion_formula(group, seed=5)
+    assert [c.witness for c in got] == [None, "r^2, 1"] + ["r^-1, s"] * 4
