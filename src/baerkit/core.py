@@ -23,17 +23,18 @@ words, kept as an element-major matrix of flat offsets into the
 extended columns: one gather of the right operands' rows, then one add
 and one flat gather per letter.
 
-Subgroups are plain element sets with a remembered generating list.
+A Subgroup is one sorted tuple of the group's shared element ints with
+a remembered generating list; membership is a binary search in it.
 Each group keeps a subgroup table, and every subgroup is grown through
 it, one generator at a time (the cyclic extension method, Holt, Eick
 and O'Brien 2005): every <x> is closed once by powering and shared by
-the x^k with k prime to |x|, every element set (the whole group's
-too) has one canonical Subgroup, and each join <H, x> is memoized by
-the pair (H, <x>); a miss grows H by whole right cosets (Dimino's
-algorithm).  A miss stops as soon as it holds more than |G|/q
-elements, q the least prime factor of |G:H|: every proper subgroup
-containing H has index at least q (Lagrange), so the join is then G,
-and the answer is exact.
+the x^k with k prime to |x|, every element tuple (the whole group's
+too) has one canonical Subgroup with an int key, and each join <H, x>
+is memoized by the pair of keys (H, <x>); a miss grows H by whole
+right cosets (Dimino's algorithm).  A miss stops as soon as it holds
+more than |G|/q elements, q the least prime factor of |G:H|: every
+proper subgroup containing H has index at least q (Lagrange), so the
+join is then G, and the answer is exact.
 Subgroup.generated, Subgroup.from_elements and normal_closure(gens,
 ambient) all walk their generators through these joins, and the
 series, quotients, direct products and Sylow parts below all work on
@@ -43,6 +44,8 @@ these two types.
 from __future__ import annotations
 
 import functools
+import itertools
+from bisect import bisect_right
 from math import gcd, lcm
 
 import numpy as np
@@ -139,6 +142,10 @@ class ConcreteGroup:
         self._ints = ints = np.arange(n).astype(object)
         self.cols = ints[stack[:base]].tolist()
         self._search_words(stack, ints)
+        # Each Subgroup built takes the next key.  _drop_memos leaves the
+        # counter alone, so a Subgroup kept from before a drop never
+        # shares a key, and so a memo entry, with one built after it.
+        self._keys = itertools.count()
         self._drop_memos()
 
     def _drop_memos(self):
@@ -150,16 +157,17 @@ class ConcreteGroup:
         cycle collector frees.  Once they are dropped the group dies with
         its last outside reference.  Subgroups handed out keep their
         elements and stay valid, and the memos refill on demand."""
-        # Memos keyed by an argument, each filled by the function named.
-        self._nilpotency_class: dict[frozenset, int | None] = {}  # nilpotency_class
-        self._derived: dict[frozenset, Subgroup] = {}  # derived_subgroup
+        # Memos keyed by an argument, each filled by the function named;
+        # a Subgroup argument is keyed by its Subgroup.key.
+        self._nilpotency_class: dict[int, int | None] = {}  # nilpotency_class
+        self._derived: dict[int, Subgroup] = {}  # derived_subgroup
         self._frattini: dict[int, Subgroup] = {}  # frattini_p_group, by p
         self._cyclic_defects: dict = {}  # subnormal.cyclic_defect, by <x>
         self._left_engel: dict = {}  # engel._is_left_engel, by class rep
         # The subgroup table, filled by Subgroup.cyclic and _join.
         self._cyclic: list[Subgroup | None] = [None] * self.size  # <x>, per x
-        self._subgroups: dict[frozenset, Subgroup] = {}  # by element set
-        self._joins: dict[tuple, Subgroup] = {}  # <H, x>, by (H, <x>) sets
+        self._subgroups: dict[tuple, Subgroup] = {}  # by element tuple
+        self._joins: dict[tuple, Subgroup] = {}  # <H, x>, by (H, <x>) keys
         # Results computed once per group, each by the function named.
         self._defect_scan: list | None = None  # subnormal._defect_scan
         self._report = None  # subnormal.classify
@@ -507,13 +515,15 @@ def _tree_word(tree, e: int) -> list[int]:
 
 
 class Subgroup:
-    """A subgroup: closed element set plus the generators that produced it."""
+    """A subgroup: its closed elements as one sorted tuple, plus the
+    generators that produced it.  key is an int unique among the group's
+    Subgroups; copies under other generators (_with_gens) share it."""
 
     def __init__(self, group: ConcreteGroup, elements, gens):
         self.group = group
         self.elements = tuple(sorted(elements))
-        self.elemset = frozenset(self.elements)
         self.gens = tuple(gens)
+        self.key = next(group._keys)
         if not self.elements or self.elements[0] != 0:
             raise GroupError("subgroup must contain the identity")
         if group.size % len(self.elements) != 0:
@@ -524,17 +534,25 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, e: int) -> bool:
-        return e in self.elemset
+        # The greatest element <= e; there is one for any e >= 0, since
+        # elements[0] is the identity 0, and index -1 for e < 0 is the
+        # greatest element, which is not e either.
+        elements = self.elements
+        return elements[bisect_right(elements, e) - 1] == e
+
+    def __le__(self, other: "Subgroup") -> bool:
+        """Whether every element of this subgroup lies in other."""
+        return other.is_whole() or all(map(other.__contains__, self.elements))
 
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
             and self.group is other.group
-            and self.elemset == other.elemset
+            and self.elements == other.elements
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.elemset))
+        return hash((id(self.group), self.elements))
 
     def is_whole(self) -> bool:
         return self.size == self.group.size
@@ -544,10 +562,10 @@ class Subgroup:
 
     @classmethod
     def _canonical(cls, group: ConcreteGroup, elements, gens) -> "Subgroup":
-        """The group's one Subgroup on these elements; a new element set
-        enters the table with these generators."""
+        """The group's one Subgroup on these elements; a new element tuple
+        enters the table with these generators and a new key."""
         sub = cls(group, elements, gens)
-        return group._subgroups.setdefault(sub.elemset, sub)
+        return group._subgroups.setdefault(sub.elements, sub)
 
     @classmethod
     def cyclic(cls, group: ConcreteGroup, x: int) -> "Subgroup":
@@ -577,17 +595,17 @@ class Subgroup:
         and the next generator either lies in it already or joins it
         (_join), so <g1, g2, g3> extends a memoized <g1, g2>.  The result
         carries the requested gens and shares the canonical elements and
-        elemset."""
+        key."""
         gens = tuple(gens)
         return _adjoin(cls.trivial(group), gens, [])._with_gens(gens)
 
     def _with_gens(self, gens: tuple) -> "Subgroup":
-        """This subgroup's elements and elemset under a generating list."""
+        """This subgroup's elements and key under a generating list."""
         if self.gens == gens:
             return self
         sub = object.__new__(Subgroup)
-        sub.group, sub.elements, sub.elemset = self.group, self.elements, self.elemset
-        sub.gens = gens
+        sub.group, sub.elements, sub.gens, sub.key = \
+            self.group, self.elements, gens, self.key
         return sub
 
     @classmethod
@@ -603,9 +621,9 @@ class Subgroup:
         """Wrap an already-closed element set.  Its generating list is
         each element, in increasing order, that lay outside the closure
         of those before it."""
-        elemset, gens = frozenset(elements), []
-        h = _adjoin(cls.trivial(group), sorted(elemset), gens)
-        if h.size != len(elemset):
+        elements, gens = sorted(set(elements)), []
+        h = _adjoin(cls.trivial(group), elements, gens)
+        if h.size != len(elements):
             raise GroupError("element set is not closed under multiplication")
         return h._with_gens(tuple(gens))
 
@@ -614,7 +632,7 @@ def _adjoin(h: Subgroup, elements, kept: list) -> Subgroup:
     """h joined with each of elements in turn (_join); those that lay
     outside the closure so far are appended to kept."""
     for g in elements:
-        if g not in h.elemset:
+        if g not in h:
             h = _join(h.group, h, g)
             kept.append(g)
     return h
@@ -623,7 +641,7 @@ def _adjoin(h: Subgroup, elements, kept: list) -> Subgroup:
 def _join(group: ConcreteGroup, h: Subgroup, g: int) -> Subgroup:
     """<h, g> for a canonical subgroup h and an element g outside it, from
     the group's subgroup table: <g> itself when h is trivial, else the
-    join memoized by the pair of element sets (h, <g>).
+    join memoized by the pair of keys (h, <g>).
 
     A miss grows h by Dimino's cosets.  The list holds h's elements and
     then each new right coset h*t, stored contiguously and led by its
@@ -642,7 +660,7 @@ def _join(group: ConcreteGroup, h: Subgroup, g: int) -> Subgroup:
     cyc = Subgroup.cyclic(group, g)
     if h.size == 1:
         return cyc
-    key = (h.elemset, cyc.elemset)
+    key = (h.key, cyc.key)
     joined = group._joins.get(key)
     if joined is None:
         cols, words = group.ext_cols, group.shallow_word
@@ -692,7 +710,7 @@ def normal_closure(gens, ambient) -> Subgroup:
     amb = _as_subgroup(ambient)
     group = amb.group
     gens = list(gens)
-    if not amb.elemset.issuperset(gens):
+    if not all(map(amb.__contains__, gens)):
         raise GroupError("generators are not contained in the ambient subgroup")
     work = []
     h = _adjoin(Subgroup.trivial(group), gens, work)
@@ -707,10 +725,10 @@ def normal_closure(gens, ambient) -> Subgroup:
 
 def is_normal_in(h: Subgroup, ambient) -> bool:
     amb = _as_subgroup(ambient)
-    if not h.elemset <= amb.elemset:
+    if not h <= amb:
         return False
     return all(
-        h.group.conj(x, k) in h.elemset for x in h.gens for k in amb.gens
+        h.group.conj(x, k) in h for x in h.gens for k in amb.gens
     )
 
 
@@ -720,7 +738,7 @@ def _series(term: Subgroup, step, end: int) -> list[Subgroup]:
     series = [term]
     while term.size != end:
         nxt = step(term)
-        if nxt.elemset == term.elemset:
+        if nxt.elements == term.elements:
             break
         series.append(term := nxt)
     return series
@@ -741,10 +759,10 @@ def nilpotency_class(g) -> int | None:
     """Nilpotency class, or None when the series stabilizes above 1."""
     sub = _as_subgroup(g)
     memo = sub.group._nilpotency_class
-    if sub.elemset not in memo:
+    if sub.key not in memo:
         series = lower_central_series(sub)
-        memo[sub.elemset] = len(series) - 1 if series[-1].size == 1 else None
-    return memo[sub.elemset]
+        memo[sub.key] = len(series) - 1 if series[-1].size == 1 else None
+    return memo[sub.key]
 
 
 def derived_series(g) -> list[Subgroup]:
@@ -754,11 +772,11 @@ def derived_series(g) -> list[Subgroup]:
 def derived_subgroup(g) -> Subgroup:
     sub = _as_subgroup(g)
     group = sub.group
-    got = group._derived.get(sub.elemset)
+    got = group._derived.get(sub.key)
     if got is None:
         comms = [group.comm(a, b) for a in sub.gens for b in sub.gens]
         got = normal_closure(comms, sub)
-        group._derived[sub.elemset] = got
+        group._derived[sub.key] = got
     return got
 
 

@@ -90,22 +90,22 @@ def defect(h: Subgroup, ambient) -> DefectResult:
     amb = _as_subgroup(ambient)
     if h.group is not amb.group:
         raise GroupError("subgroup and ambient belong to different groups")
-    if not h.elemset <= amb.elemset:
+    if not h <= amb:
         raise GroupError("subgroup is not contained in the ambient")
     series = _series(amb, lambda cur: normal_closure(h.gens, cur), h.size)
     return DefectResult(len(series) - 1 if series[-1].size == h.size else None)
 
 
 def cyclic_defect(group: ConcreteGroup, x: int) -> DefectResult:
-    """Defect of <x> in the whole group, memoized by the element set of
-    <x>.  Subgroup.generated answers <x> from the group's subgroup table,
-    so <x> is closed at most once, however many of its generators are
-    asked about, and its element set is the one canonical object."""
+    """Defect of <x> in the whole group, memoized by the key of <x>.
+    Subgroup.generated answers <x> from the group's subgroup table, so
+    <x> is closed at most once, however many of its generators are asked
+    about, and every answer carries the one canonical key."""
     sub = Subgroup.generated(group, [x])
-    got = group._cyclic_defects.get(sub.elemset)
+    got = group._cyclic_defects.get(sub.key)
     if got is None:
         got = defect(sub, group)
-        group._cyclic_defects[sub.elemset] = got
+        group._cyclic_defects[sub.key] = got
     return got
 
 
@@ -154,7 +154,7 @@ def t_n_within(ambient: Subgroup, n: int) -> Subgroup:
         if h in seen:
             continue
         cyc = Subgroup.generated(group, [h])
-        seen |= cyc.elemset
+        seen.update(cyc.elements)
         if not defect(cyc, ambient).within(n):
             bad.append(h)
         orbit, in_orbit = [h], {h}
@@ -175,18 +175,18 @@ def all_subgroups(group: ConcreteGroup, bound: int = SMALL_GROUP_BOUND) -> list[
     hard size bound."""
     if group.size > bound:
         raise GroupError(f"group order {group.size} exceeds the bound {bound}")
-    subs: dict[frozenset, Subgroup] = {}
+    subs: dict[tuple, Subgroup] = {}
     for x in range(group.size):
         s = Subgroup.generated(group, [x])
-        subs.setdefault(s.elemset, s)
+        subs.setdefault(s.elements, s)
     work = list(subs.values())
     while work:
         nxt = []
         for a in work:
             for b in list(subs.values()):
                 j = Subgroup.generated(group, a.gens + b.gens)
-                if j.elemset not in subs:
-                    subs[j.elemset] = j
+                if j.elements not in subs:
+                    subs[j.elements] = j
                     nxt.append(j)
         work = nxt
     return sorted(subs.values(), key=lambda s: (s.size, s.elements))
@@ -202,10 +202,9 @@ def brute_force_defect(h: Subgroup, group: ConcreteGroup,
     if h.group is not group:
         raise GroupError("subgroup belongs to a different group")
     lattice = all_subgroups(group, bound=bound)
-    whole = frozenset(range(group.size))
-    if h.elemset == whole:
+    if h.is_whole():
         return DefectResult(0)
-    dist = {h.elemset: 0}
+    dist = {h.elements: 0}
     frontier = [h]
     d = 0
     while frontier:
@@ -213,14 +212,14 @@ def brute_force_defect(h: Subgroup, group: ConcreteGroup,
         nxt = []
         for k in frontier:
             for l in lattice:
-                if l.elemset == k.elemset or not k.elemset <= l.elemset:
+                if l.size == k.size or not k <= l:
                     continue
-                if l.elemset in dist:
+                if l.elements in dist:
                     continue
-                if all(group.conj(x, g) in k.elemset for x in k.elements for g in l.elements):
-                    if l.elemset == whole:
+                if all(group.conj(x, g) in k for x in k.elements for g in l.elements):
+                    if l.is_whole():
                         return DefectResult(d)
-                    dist[l.elemset] = d
+                    dist[l.elements] = d
                     nxt.append(l)
         frontier = nxt
     return DefectResult(None)
@@ -272,7 +271,7 @@ def _quotient_is_simple(group: ConcreteGroup, h: Subgroup) -> bool:
     if nilpotency_class(group) is not None:
         return False
     for rep in group.class_reps():
-        if rep in h.elemset:
+        if rep in h:
             continue
         ncl = normal_closure([*h.gens, rep], group)
         if ncl.size < group.size:

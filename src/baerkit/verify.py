@@ -364,27 +364,27 @@ def check_frattini_t2_structure(group: ConcreteGroup) -> TheoremCheck:
 
     if frat.size != p ** 4:
         failures.append(f"frattini order {frat.size} != p^4")
-    if Subgroup.generated(group, [xp, yp, c]).elemset != frat.elemset:
+    if Subgroup.generated(group, [xp, yp, c]) != frat:
         failures.append("frattini != <x^p, y^p, [x,y]>")
 
     der = derived_subgroup(group)
     if exponent(der) != p:
         failures.append(f"derived subgroup exponent {exponent(der)} != {p}")
-    if Subgroup.generated(group, [c, group.power(x, q)]).elemset != der.elemset:
+    if Subgroup.generated(group, [c, group.power(x, q)]) != der:
         failures.append("derived subgroup != <[x,y], x^(p^2)>")
     series = upper_central_series(group)
     z2 = series[min(1, len(series) - 1)]
-    if not der.elemset <= z2.elemset:
+    if not der <= z2:
         failures.append("derived subgroup not inside second center")
 
     t2 = classify(group).t2
     w = group.mult(x, group.power(y, p - 1))
     expect_t2 = Subgroup.generated(group, [w, xp, yp, c])
-    if expect_t2.elemset != t2.elemset:
+    if expect_t2 != t2:
         failures.append("T_2 != <x y^(p-1), x^p, y^p, [x,y]>")
-    if w in frat.elemset:
+    if w in frat:
         failures.append("x y^(p-1) lies in the Frattini subgroup")
-    if group.power(w, p) not in frat.elemset:
+    if group.power(w, p) not in frat:
         failures.append("(x y^(p-1))^p escapes the Frattini subgroup")
     if group.power(w, q) != 0:
         failures.append("(x y^(p-1))^(p^2) != 1")
@@ -418,7 +418,7 @@ def check_cyclic_closure_class(
     if t2.is_whole():
         return _skip(cid, "T_2 is the whole group; no elements lie outside it",
                      t2_order=t2.size)
-    outside = [g for g in range(group.size) if g not in t2.elemset]
+    outside = [g for g in range(group.size) if g not in t2]
     if group.size <= exhaustive_threshold:
         todo = outside
         mode = "exhaustive"
@@ -610,7 +610,7 @@ def check_subgroup_inheritance(group: ConcreteGroup, *,
         gens = [rng.randrange(group.size) for _ in range(d)]
         sub = Subgroup.generated(group, gens)
         t2h = t_n_within(sub, 2)
-        if not (t2h.elemset <= t2g.elemset and t2h.elemset <= sub.elemset):
+        if not (t2h <= t2g and t2h <= sub):
             return _verdict(cid, False,
                             {"subgroup_order": sub.size,
                              "subgroup_t2_order": t2h.size},
@@ -649,9 +649,9 @@ def check_product_decomposition(h: ConcreteGroup, k: ConcreteGroup, *,
     lower = {embed_left[a] for a in t2h.elements}
     upper = {a * m + b for a in t2h.elements for b in range(k.size)}
     failures = []
-    if not lower <= t2g.elemset:
+    if not all(map(t2g.__contains__, lower)):
         failures.append("T_2(H) x 1 escapes T_2 of the product")
-    if not t2g.elemset <= upper:
+    if not upper.issuperset(t2g.elements):
         failures.append("T_2 of the product escapes T_2(H) x K")
     expected_cls = (GENERALIZED_T2 if t2h.size > 1 else TWO_BAER)
     if greport.classification != expected_cls:

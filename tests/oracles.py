@@ -424,7 +424,7 @@ def per_element_t_n_within(ambient, n):
         if h in seen:
             continue
         cyc = Subgroup.generated(group, [h])
-        seen |= cyc.elemset
+        seen.update(cyc.elements)
         if not defect(cyc, ambient).within(n):
             bad.append(h)
     return normal_closure(bad, ambient)
@@ -443,7 +443,8 @@ def per_element_cyclic_closure_class(group, *, exhaustive_threshold=2048,
         return verify._skip(
             cid, "T_2 is the whole group; no elements lie outside it",
             t2_order=t2.size)
-    outside = [g for g in range(group.size) if g not in t2.elemset]
+    t2_elems = set(t2.elements)
+    outside = [g for g in range(group.size) if g not in t2_elems]
     if group.size <= exhaustive_threshold:
         todo, mode = outside, "exhaustive"
     else:
@@ -478,13 +479,13 @@ def frattini_coordinates(group, g):
     p = group.meta["prime"]
     x = group.gen_element(0)
     y = group.gen_element(1)
-    frat = frattini_p_group(group, p)
+    frat = set(frattini_p_group(group, p).elements)
     hits = []
     for m in range(p):
         for n in range(p):
             z = group.mult(group.power(y, -n),
                            group.mult(group.power(x, -m), g))
-            if z in frat.elemset:
+            if z in frat:
                 hits.append((m, n))
     if len(hits) != 1:
         raise GroupError(

@@ -1,16 +1,23 @@
 """Memos live on their group: they are reused while it lives and die with it."""
 
 import gc
+import sys
 import weakref
 from dataclasses import replace
 
 import pytest
 
-from baerkit.core import Subgroup, nilpotency_class
-from baerkit.subnormal import ClassificationReport, classify, t_n_subgroup
+from baerkit.core import Subgroup, _join, derived_subgroup, nilpotency_class
+from baerkit.subnormal import (
+    ClassificationReport,
+    classify,
+    cyclic_defect,
+    t_n_subgroup,
+)
 from baerkit.verify import (
     _SUITE_CHECKS,
     CorpusEntry,
+    build_class3_p_group,
     build_group,
     default_corpus,
     dihedral_presentation,
@@ -37,7 +44,7 @@ def test_classify_is_memoized_and_carries_t2():
     group = _d12()
     report = classify(group)
     assert classify(group) is report
-    assert report.t2.elemset == t_n_subgroup(group, 2).elemset
+    assert report.t2.elements == t_n_subgroup(group, 2).elements
     assert "t2" not in report.to_json_dict()
     assert "t2=" not in repr(report)
 
@@ -59,7 +66,8 @@ def _corpus_entry(name):
 # What __init__ sets apart from the memos; every other attribute of a
 # freshly built group is a memo.
 _CONSTRUCTION = {"size", "cols", "presentation", "gen_names", "meta",
-                 "_ints", "_word_tree", "ext_cols", "_npcols", "shallow_word"}
+                 "_ints", "_word_tree", "ext_cols", "_npcols", "shallow_word",
+                 "_keys"}
 
 
 def _holds_subgroup(value):
@@ -124,10 +132,62 @@ def test_dropped_group_answers_as_before(name):
 
     group = _corpus_entry(name).build()
     report = classify(group)
-    t2, t2_elems = report.t2, report.t2.elemset
+    t2, t2_elems = report.t2, set(report.t2.elements)
     before = answers()
     group._drop_memos()
     assert classify(group) is not report
     assert answers() == before
-    assert t2.elemset == t2_elems
+    assert set(t2.elements) == t2_elems
     assert t2.group is group and t2 == classify(group).t2
+
+
+def _answers(group, sub, probes):
+    """What the subgroup memos hold for sub, as plain values."""
+    return (derived_subgroup(sub).elements, nilpotency_class(sub),
+            [cyclic_defect(group, g).defect for g in sub.gens],
+            [_join(group, sub, g).elements for g in probes if g not in sub])
+
+
+@pytest.mark.parametrize("name", ["D16", "class3-p3", "class3-p3 x C2"])
+def test_subgroups_kept_across_a_drop_answer_as_a_fresh_group(name):
+    # The memos are keyed by Subgroup.key.  A refilled table must never
+    # hand a key out again, or a Subgroup kept from before the drop would
+    # be answered from the memo of a different subgroup.  The refill runs
+    # in another order than the first fill, so that a key handed out
+    # again would land on another subgroup, and memoizes every key filed.
+    entry = _corpus_entry(name)
+    group, fresh = entry.build(), entry.build()
+    t2 = classify(group).t2
+    x, y = group.generator_elements()[:2]
+    joined = Subgroup.generated(group, [x, y])
+    group._drop_memos()
+    for g in reversed(range(group.size)):
+        cyclic_defect(group, g)
+    for sub in list(group._subgroups.values()):
+        derived_subgroup(sub)
+        nilpotency_class(sub)
+    classify(group)
+    probes = range(0, group.size, max(1, group.size // 16))
+    for stale in (t2, joined):
+        same = Subgroup.generated(fresh, stale.gens)
+        assert _answers(group, stale, probes) == _answers(fresh, same, probes)
+
+
+def _own_bytes(sub):
+    """Bytes a Subgroup holds of its own: the object, its attribute dict
+    and every attribute but its group.  Its element ints are the group's
+    shared ints, so a container of them counts only its own size."""
+    return (sys.getsizeof(sub) + sys.getsizeof(vars(sub))
+            + sum(sys.getsizeof(v) for k, v in vars(sub).items()
+                  if k != "group"))
+
+
+def test_subgroup_table_stores_each_subgroup_compactly():
+    # After classify, class3-p5 (order 15,625) files 323 subgroups holding
+    # 57,291 elements in all.  One sorted tuple costs 8 bytes an element,
+    # and the table holds about 10 bytes an element in all; a hash set of
+    # the same ints beside the tuple would cost over 50 more.
+    group = build_class3_p_group(5)
+    classify(group)
+    subs = group._subgroups.values()
+    assert sum(map(_own_bytes, subs)) <= 16 * sum(s.size for s in subs)

@@ -71,8 +71,8 @@ def test_generated_matches_naive_closure(request, name, count):
     group = request.getfixturevalue(name)
     for gens in _gen_lists(group, f"generated:{name}", count):
         sub = Subgroup.generated(group, gens)
-        assert sub.elemset == naive_closure(group, gens)
-        assert list(sub.elements) == sorted(sub.elemset)
+        assert set(sub.elements) == naive_closure(group, gens)
+        assert list(sub.elements) == sorted(set(sub.elements))
         assert sub.gens == tuple(gens)
 
 
@@ -93,7 +93,7 @@ def test_generated_matches_naive_closure_on_every_tuple(presentation, arity):
     group = build_group(presentation)
     for gens in product(range(group.size), repeat=arity):
         sub = Subgroup.generated(group, gens)
-        assert sub.elemset == naive_closure(group, gens), gens
+        assert set(sub.elements) == naive_closure(group, gens), gens
         assert sub.gens == gens
 
 
@@ -127,7 +127,7 @@ def test_a_join_of_exactly_half_the_group_is_not_the_whole_group(d8):
     # <r^2, r> = <r> has exactly |D8|/2 elements.
     r, _ = d8.generator_elements()
     c4 = _join(d8, Subgroup.cyclic(d8, d8.power(r, 2)), r)
-    assert c4.elemset == Subgroup.cyclic(d8, r).elemset
+    assert c4.elements == Subgroup.cyclic(d8, r).elements
     assert c4.size == d8.size // 2
 
 
@@ -138,9 +138,9 @@ def test_cyclic_table_holds_each_cyclic_subgroup(presentation):
     for x in range(group.size):
         Subgroup.cyclic(group, x)
     for x in range(group.size):
-        assert group._cyclic[x].elemset == naive_closure(group, [x])
+        assert set(group._cyclic[x].elements) == naive_closure(group, [x])
     # One object per cyclic subgroup, whichever generator found it.
-    distinct = {c.elemset for c in group._cyclic}
+    distinct = {c.elements for c in group._cyclic}
     assert len({id(c) for c in group._cyclic}) == len(distinct)
 
 
@@ -148,14 +148,14 @@ def test_generating_lists_of_one_subgroup_share_its_element_set(d16, q8):
     r, s = d16.generator_elements()
     a = Subgroup.generated(d16, [r, s])
     b = Subgroup.generated(d16, [s, d16.mult(r, s), 0])
-    assert a.elemset is b.elemset and a.elements is b.elements
+    assert a.elements is b.elements
     assert (a.gens, b.gens) == ((r, s), (s, d16.mult(r, s), 0))
     i, j = q8.generator_elements()
     k = q8.mult(i, j)
     subs = [Subgroup.generated(q8, g) for g in ([i, j], [j, k], [k, i, j])]
-    assert len({id(sub.elemset) for sub in subs}) == 1
-    assert Subgroup.cyclic(q8, i).elemset is Subgroup.generated(
-        q8, [q8.inv(i)]).elemset
+    assert len({id(sub.elements) for sub in subs}) == 1
+    assert Subgroup.cyclic(q8, i).elements is Subgroup.generated(
+        q8, [q8.inv(i)]).elements
 
 
 @pytest.mark.parametrize("name,count", CASES)
@@ -181,8 +181,8 @@ def test_normal_closure_matches_naive(request, name, count):
         conjugators = group.generator_elements()
     for gens in _gen_lists(group, f"normal:{name}", count):
         n = normal_closure(gens, group)
-        assert n.elemset == naive_normal_closure(group, gens, conjugators)
-        assert naive_closure(group, n.gens) == n.elemset
+        assert set(n.elements) == naive_normal_closure(group, gens, conjugators)
+        assert naive_closure(group, n.gens) == set(n.elements)
 
 
 def test_from_elements_in_large_group(class3_p5):
@@ -190,8 +190,8 @@ def test_from_elements_in_large_group(class3_p5):
     x, y = group.generator_elements()
     h = Subgroup.generated(group, [x, group.comm(x, y)])
     again = Subgroup.from_elements(group, h.elements)
-    assert again.elemset == h.elemset
-    assert naive_closure(group, again.gens) == h.elemset
+    assert again.elements == h.elements
+    assert naive_closure(group, again.gens) == set(h.elements)
     with pytest.raises(GroupError):
         Subgroup.from_elements(group, [0, x])
     with pytest.raises(GroupError):
@@ -201,13 +201,33 @@ def test_from_elements_in_large_group(class3_p5):
 def test_normal_closure_rejects_generators_outside_the_ambient(d16):
     r, s = d16.generator_elements()
     rotations = Subgroup.generated(d16, [r])
-    assert normal_closure([r], rotations).elemset == rotations.elemset
+    assert normal_closure([r], rotations).elements == rotations.elements
     with pytest.raises(GroupError):
         normal_closure([s], rotations)
 
 
 def _p3_x_c2():
     return direct_product(build_group(P3), build_group(cyclic_presentation(2)))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: build_group(D16), id="d16"),
+    pytest.param(lambda: build_group(P3), id="p3"),
+    pytest.param(_p3_x_c2, id="p3xc2"),
+])
+def test_membership_and_inclusion_agree_with_sets(build):
+    # A Subgroup answers `in` by binary search in its sorted elements and
+    # `<=` by those searches; both must agree with a set of the elements,
+    # for every element and every pair of filed subgroups.
+    group = build()
+    classify(group)
+    subs = list(group._subgroups.values())
+    sets = [set(sub.elements) for sub in subs]
+    every = range(group.size)
+    for sub, elems in zip(subs, sets):
+        assert [e in sub for e in every] == [e in elems for e in every]
+    for h, hs in zip(subs, sets):
+        assert [h <= k for k in subs] == [hs <= ks for ks in sets]
 
 
 def _t2_within_d8(group):
@@ -250,16 +270,16 @@ def test_a_normal_closure_is_filed_once():
     x, y = group.generator_elements()
     gens = [group.comm(x, y), group.power(x, 3)]
     n = normal_closure(gens, group)
-    assert n.elemset is Subgroup.generated(group, n.gens).elemset
+    assert n.elements is Subgroup.generated(group, n.gens).elements
     joins = len(group._joins)
     again = normal_closure(gens, group)
     assert len(group._joins) == joins
-    assert again.elemset is n.elemset and again.gens == n.gens
+    assert again.elements is n.elements and again.gens == n.gens
     # An already-closed set is found in the table, and a second wrap
     # builds nothing.
     h = Subgroup.generated(group, [x, group.comm(x, y)])
-    assert Subgroup.from_elements(group, h.elements).elemset is h.elemset
-    assert Subgroup.from_elements(group, n.elements).elemset is n.elemset
+    assert Subgroup.from_elements(group, h.elements).elements is h.elements
+    assert Subgroup.from_elements(group, n.elements).elements is n.elements
     joins = len(group._joins)
     Subgroup.from_elements(group, h.elements)
     assert len(group._joins) == joins
@@ -282,7 +302,7 @@ def test_the_whole_group_is_filed_once(whole_first):
     joined = Subgroup.generated(group, [y, x])
     if not whole_first:
         whole = Subgroup.whole(group)
-    assert joined.elemset is whole.elemset and joined.elements is whole.elements
+    assert joined.elements is whole.elements
     assert whole.elements == tuple(range(group.size))
     assert (whole.gens, joined.gens) == ((x, y), (y, x))
     assert Subgroup.whole(group) is whole

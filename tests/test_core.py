@@ -429,7 +429,7 @@ def test_whole_group_maps_agree_with_naive_scans(map_groups):
 def test_series_agree_with_naive_closures(map_groups):
     for group in map_groups:
         assert nilpotency_class(group) == naive_lower_central_class(group)
-        assert [z.elemset for z in derived_series(group)] \
+        assert [set(z.elements) for z in derived_series(group)] \
             == naive_derived_series(group)
 
 
@@ -535,7 +535,7 @@ def test_subgroup_generated_and_from_elements(d8):
     h = Subgroup.generated(d8, [r])
     assert h.size == 4
     again = Subgroup.from_elements(d8, h.elements)
-    assert again.elemset == h.elemset
+    assert again.elements == h.elements
     with pytest.raises(GroupError):
         Subgroup.from_elements(d8, [0, r])
 

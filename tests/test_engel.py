@@ -210,7 +210,7 @@ def test_right_one_engel_elements_form_the_center(q8, d16):
     for group in (q8, d16):
         elems = right_engel_elements(group, 1)
         sub = Subgroup.from_elements(group, elems)
-        assert sub.elemset == set(elems)
+        assert set(sub.elements) == set(elems)
         assert all(
             group.mult(a, g) == group.mult(g, a)
             for a in sub.elements for g in range(group.size))

@@ -101,7 +101,7 @@ def test_subgroup_counts_frozen(s3, q8, d8):
 
 def test_subgroup_lattice_matches_naive(d8, s3):
     for group in (d8, s3):
-        got = {h.elemset for h in all_subgroups(group)}
+        got = {frozenset(h.elements) for h in all_subgroups(group)}
         assert got == {frozenset(h) for h in naive_all_subgroups(group)}
 
 
@@ -125,7 +125,7 @@ def test_t2_matches_naive_generation(s3, d8, d16, q8):
     c12 = build_group(cyclic_presentation(12))
     d12 = build_group(dihedral_presentation(12), name="D12")
     for group in (s3, d8, d16, q8, c12, d12):
-        got = t_n_subgroup(group, 2).elemset
+        got = set(t_n_subgroup(group, 2).elements)
         assert got == naive_t2(group), group.meta.get("name")
 
 
@@ -139,7 +139,7 @@ def test_t1_of_q8_is_trivial(q8):
 
 def test_t2_within_whole_equals_t2(d16):
     whole = Subgroup.whole(d16)
-    assert t_n_within(whole, 2).elemset == t_n_subgroup(d16, 2).elemset
+    assert t_n_within(whole, 2).elements == t_n_subgroup(d16, 2).elements
 
 
 def test_t2_within_cyclic_subgroup_is_trivial(d16):
@@ -162,7 +162,7 @@ def _subgroups_by_two(group):
     for a in range(group.size):
         for b in range(a, group.size):
             sub = Subgroup.generated(group, [a, b])
-            subs.setdefault(sub.elemset, sub)
+            subs.setdefault(sub.elements, sub)
     return subs.values()
 
 
@@ -170,8 +170,8 @@ def _subgroups_by_two(group):
 def test_t2_within_matches_per_element_scan_on_small_groups(request, name):
     group = request.getfixturevalue(name)
     for sub in _subgroups_by_two(group):
-        assert (t_n_within(sub, 2).elemset
-                == per_element_t_n_within(sub, 2).elemset), sub.gens
+        assert (t_n_within(sub, 2).elements
+                == per_element_t_n_within(sub, 2).elements), sub.gens
 
 
 @pytest.mark.parametrize("text", [
@@ -184,8 +184,8 @@ def test_t2_within_matches_per_element_scan_on_seeded_subgroups(text):
     for i in range(20):
         gens = [rng.randrange(group.size) for _ in range(1 + i % 2)]
         sub = Subgroup.generated(group, gens)
-        assert (t_n_within(sub, 2).elemset
-                == per_element_t_n_within(sub, 2).elemset), gens
+        assert (t_n_within(sub, 2).elements
+                == per_element_t_n_within(sub, 2).elements), gens
 
 
 def test_is_n_subnormal_matches_defect(s4, d16, class3_p2):
@@ -281,7 +281,7 @@ def test_t2_inheritance_elementwise(d16):
     s = d16.gen_element(1)
     mid = Subgroup.generated(d16, [s, r2])
     t2h = t_n_within(mid, 2)
-    assert t2h.elemset <= (t2g.elemset & mid.elemset)
+    assert set(t2h.elements) <= (set(t2g.elements) & set(mid.elements))
 
 
 def test_defect_rejects_foreign_subgroup(s3, d8):

@@ -290,12 +290,13 @@ def test_cyclic_closure_class_names_the_first_failing_element(
     # a class can be met first at a member that is not its representative.
     group = class3_p2
     t2 = verify.classify(group).t2
-    outside = [g for g in range(group.size) if g not in t2.elemset]
+    t2_elems = set(t2.elements)
+    outside = [g for g in range(group.size) if g not in t2_elems]
     assert len(outside) <= verify._CYCLIC_TRIALS
     todo = random.Random(7).sample(outside, len(outside))
     met = set()
     for g in todo:
-        closure = normal_closure([g], group).elemset
+        closure = normal_closure([g], group).elements
         if g != group._class_rep[g] and closure not in met:
             break
         met.add(closure)
@@ -303,7 +304,7 @@ def test_cyclic_closure_class_names_the_first_failing_element(
         pytest.fail("every class is met first at its representative")
     real = verify.nilpotency_class
     monkeypatch.setattr(verify, "nilpotency_class",
-                        lambda sub: 3 if sub.elemset == closure else real(sub))
+                        lambda sub: 3 if sub.elements == closure else real(sub))
     check = check_cyclic_closure_class(group, exhaustive_threshold=1, seed=7)
     assert check.status == "fail"
     assert check.witness == str(group.element_word(g))
