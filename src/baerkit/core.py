@@ -181,12 +181,11 @@ class ConcreteGroup:
     def _search_words(self, stack, ints):
         """Set _word_tree, ext_cols, _npcols and shallow_word.
 
-        _word_tree is each element's depth, parent and last letter over
-        cols, the last two as lists for element_word's walk.  While the
-        mean word is longer than SHALLOW_MEAN letters, add the pair
-        x -> x*e, x -> x*e^-1 for the deepest element e (the least on a
-        tie) as the next two free rows of stack, whose rows before them
-        are cols, and search the shortest words again, at most
+        _word_tree is breadth_first's depth, parent and letter arrays over
+        cols.  While the mean word is longer than SHALLOW_MEAN letters, add
+        the pair x -> x*e, x -> x*e^-1 for the deepest element e (the least
+        on a tie) as the next two free rows of stack, whose rows before
+        them are cols, and search the shortest words again, at most
         SHALLOW_PAIRS times, and only while every letter and the index of
         _npcols' identity row (one past the last) fit a byte.
         shallow_word spells the last tree."""
@@ -195,8 +194,8 @@ class ConcreteGroup:
         tree = breadth_first(stack[:k])
         if tree[3].size != n:
             raise GroupError("columns do not generate a transitive action")
-        depth, parent, letter, _ = tree
-        self._word_tree = depth, ints[parent].tolist(), letter.tolist()
+        self._word_tree = tree[:3]
+        depth = tree[0]
         while (k < base + 2 * SHALLOW_PAIRS and k + 2 <= 255
                and depth.sum() > SHALLOW_MEAN * n):
             e = int(np.argmax(depth))
@@ -299,8 +298,7 @@ class ConcreteGroup:
         bucketed by (depth, letter) and in depth order: one sort of the
         elements by depth, then letter, then index, split where the key
         changes.  The identity, alone at depth 0, is left out."""
-        depth, *links = self._word_tree
-        parent, letter = (np.fromiter(x, np.int64, self.size) for x in links)
+        depth, parent, letter = self._word_tree
         children = np.lexsort((letter, depth))[1:]
         key = depth[children] * len(self.cols) + letter[children]
         return [(letter[c[0]], parent[c], c) for c in np.split(
@@ -858,17 +856,15 @@ def frattini_p_group(group: ConcreteGroup, p: int) -> Subgroup:
 def sylow_decomposition(group: ConcreteGroup) -> list[tuple[int, Subgroup]]:
     """Sylow parts of a nilpotent group, one per prime, as subgroups.
 
-    For nilpotent groups the elements of p-power order already form a
-    subgroup, so this is a partition by element order."""
+    With p^a the full power of p dividing |G|, the p-part is every x
+    with x^(p^a) = 1, found by one power_batch over the whole group; in
+    a nilpotent group these elements form the Sylow p-subgroup."""
     if nilpotency_class(group) is None:
         raise GroupError("group is not nilpotent; Sylow parts do not decompose it")
+    every = np.arange(group.size)
     parts = []
-    for p in sorted(factorize(group.size)):
-        elems = [
-            e
-            for e in range(group.size)
-            if _is_p_power(group.element_order(e), p)
-        ]
+    for p, a in sorted(factorize(group.size).items()):
+        elems = group._ints[group.power_batch(every, p ** a) == 0].tolist()
         parts.append((p, Subgroup.from_elements(group, elems)))
     sizes = 1
     for _, s in parts:
@@ -878,12 +874,6 @@ def sylow_decomposition(group: ConcreteGroup) -> list[tuple[int, Subgroup]]:
     return parts
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 # The largest direct product built, a guard on the columns' memory.
 MAX_PRODUCT_ORDER = 200_000
 
@@ -891,19 +881,19 @@ MAX_PRODUCT_ORDER = 200_000
 def direct_product(g: ConcreteGroup, h: ConcreteGroup) -> ConcreteGroup:
     """Direct product with componentwise action.
 
-    The result's meta carries the two factors under "factors" and
-    "embed_left"/"embed_right" index maps for the canonical embeddings,
-    and generators are the factor generators (right factor names suffixed
-    on collision)."""
+    Element a*m + b (m = |h|) is the pair (a, b).  Each letter moves one
+    coordinate, so its column is the factor's column, repeated or tiled
+    over the other coordinate.  The result's meta carries the two factors
+    under "factors" and "embed_left"/"embed_right" index maps for the
+    canonical embeddings, and generators are the factor generators (right
+    factor names suffixed on collision)."""
     n, m = g.size, h.size
     if n * m > MAX_PRODUCT_ORDER:
         raise GroupError(
             f"product order {n * m} exceeds the limit {MAX_PRODUCT_ORDER}")
-    cols = []
-    for col in g.cols:
-        cols.append([col[a] * m + b for a in range(n) for b in range(m)])
-    for col in h.cols:
-        cols.append([a * m + col[b] for a in range(n) for b in range(m)])
+    left = (np.repeat(g._npcols[:len(g.cols)] * m, m, axis=1)
+            + np.tile(np.arange(m), n))
+    right = np.repeat(np.arange(n) * m, m) + np.tile(h._npcols[:len(h.cols)], n)
     left_names = list(g.gen_names)
     right_names = []
     for name in h.gen_names:
@@ -914,40 +904,32 @@ def direct_product(g: ConcreteGroup, h: ConcreteGroup) -> ConcreteGroup:
     names = tuple(left_names + right_names)
 
     meta = {
-        "embed_left": tuple(a * m for a in range(n)),
+        "embed_left": tuple(range(0, n * m, m)),
         "embed_right": tuple(range(m)),
         "factors": (g, h),
     }
-    return ConcreteGroup(cols, gen_names=names, meta=meta)
+    return ConcreteGroup(np.vstack((left, right)), gen_names=names, meta=meta)
 
 
 def quotient(group: ConcreteGroup, n: Subgroup) -> ConcreteGroup:
     """The group on cosets of a normal subgroup, with the induced action.
 
     Coset ids are assigned in order of least member, so the identity
-    coset is 0 and the numbering is deterministic."""
+    coset is 0 and the numbering is deterministic.  Each coset is filled
+    by one mult_batch of the subgroup's elements by its least member."""
     if n.group is not group:
         raise GroupError("subgroup belongs to a different group")
     if not is_normal_in(n, group):
         raise GroupError("subgroup is not normal; quotient undefined")
-    coset_of = [-1] * group.size
+    members = np.array(n.elements)
+    coset_of = np.full(group.size, -1)
     reps = []
-    for e in range(group.size):
-        if coset_of[e] != -1:
-            continue
-        cid = len(reps)
-        reps.append(e)
-        for x in n.elements:
-            coset_of[group.mult(x, e)] = cid
-    k = len(reps)
+    while (free := np.flatnonzero(coset_of < 0)).size:
+        coset_of[group.mult_batch(members, free[0])] = len(reps)
+        reps.append(free[0])
+    reps = np.array(reps)
     cols = []
-    for i in range(group.ngens):
-        gi = group.gen_element(i)
-        fwd = [coset_of[group.mult(reps[c], gi)] for c in range(k)]
-        back = [0] * k
-        for c, v in enumerate(fwd):
-            back[v] = c
-        cols.append(fwd)
-        cols.append(back)
-
+    for g in group.generator_elements():
+        fwd = coset_of[group.mult_batch(reps, g)]
+        cols += [fwd, np.argsort(fwd)]
     return ConcreteGroup(cols, gen_names=group.gen_names)

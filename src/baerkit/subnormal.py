@@ -168,13 +168,14 @@ def t_n_within(ambient: Subgroup, n: int) -> Subgroup:
     return normal_closure(bad, ambient)
 
 
-def all_subgroups(group: ConcreteGroup, bound: int = SMALL_GROUP_BOUND) -> list[Subgroup]:
+def all_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     """Every subgroup, by closing the cyclic subgroups under joins.
 
     Exponential in spirit and meant for oracle work only, hence the
-    hard size bound."""
-    if group.size > bound:
-        raise GroupError(f"group order {group.size} exceeds the bound {bound}")
+    hard size bound SMALL_GROUP_BOUND."""
+    if group.size > SMALL_GROUP_BOUND:
+        raise GroupError(f"group order {group.size} exceeds the bound "
+                         f"{SMALL_GROUP_BOUND}")
     subs: dict[tuple, Subgroup] = {}
     for x in range(group.size):
         s = Subgroup.generated(group, [x])
@@ -192,8 +193,7 @@ def all_subgroups(group: ConcreteGroup, bound: int = SMALL_GROUP_BOUND) -> list[
     return sorted(subs.values(), key=lambda s: (s.size, s.elements))
 
 
-def brute_force_defect(h: Subgroup, group: ConcreteGroup,
-                       bound: int = SMALL_GROUP_BOUND) -> DefectResult:
+def brute_force_defect(h: Subgroup, group: ConcreteGroup) -> DefectResult:
     """Defect by shortest path over the full subgroup lattice.
 
     Edges go from K to any strictly larger L with K normal in L; the
@@ -201,7 +201,7 @@ def brute_force_defect(h: Subgroup, group: ConcreteGroup,
     independent oracle for defect() on small groups."""
     if h.group is not group:
         raise GroupError("subgroup belongs to a different group")
-    lattice = all_subgroups(group, bound=bound)
+    lattice = all_subgroups(group)
     if h.is_whole():
         return DefectResult(0)
     dist = {h.elements: 0}
@@ -239,7 +239,6 @@ class ClassificationReport:
     defect_histogram: dict[str, int]
     strict_reading_disagreements: int
     t2: Subgroup = field(repr=False, compare=False)
-    strict_reading_samples: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -282,7 +281,7 @@ def _quotient_is_simple(group: ConcreteGroup, h: Subgroup) -> bool:
 def classify(group: ConcreteGroup) -> ClassificationReport:
     """Order, series data, T_2, and the three-way classification.
 
-    Also surfaces, per a stricter reading of "n-subnormal" that demands
+    Also counts, per a stricter reading of "n-subnormal" that demands
     n strictly increasing chain terms, the elements on which the two
     readings disagree: defect 0 (no strict chain can exist) and defect 1
     where the quotient by the cyclic subgroup is simple (no strictly
@@ -293,7 +292,6 @@ def classify(group: ConcreteGroup) -> ClassificationReport:
     t2 = t_n_subgroup(group, 2)
     hist: dict[str, int] = {}
     disagree = 0
-    samples: list[str] = []
     for rep, size, res in _defect_scan(group):
         key = "none" if res.defect is None else str(res.defect)
         hist[key] = hist.get(key, 0) + size
@@ -302,8 +300,6 @@ def classify(group: ConcreteGroup) -> ClassificationReport:
             and _quotient_is_simple(group, Subgroup.generated(group, [rep]))
         ):
             disagree += size
-            if len(samples) < 4:
-                samples.append(str(group.element_word(rep)))
     order = group.size
     if t2.size == 1:
         cls = TWO_BAER
@@ -321,7 +317,6 @@ def classify(group: ConcreteGroup) -> ClassificationReport:
         defect_histogram=hist,
         strict_reading_disagreements=disagree,
         t2=t2,
-        strict_reading_samples=samples,
     )
     group._report = report
     return report

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from baerkit.verify import (
@@ -9,6 +12,18 @@ from baerkit.verify import (
     quaternion_presentation,
     symmetric_presentation,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _children_import_this_checkout():
+    """Put the repository's src first on PYTHONPATH for the child Pythons
+    that tests start (python -m baerkit, python -c ...).  pyproject's
+    pythonpath reaches only pytest's own process, so without this the
+    children of a run from an uninstalled checkout find no baerkit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -469,6 +469,65 @@ def per_element_cyclic_closure_class(group, *, exhaustive_threshold=2048,
     return verify._verdict(cid, True, details)
 
 
+# -- whole-group constructions, one element at a time ------------------------
+#
+# These take a ConcreteGroup for its letter columns and generator names
+# but multiply only through its mult.
+
+def per_element_direct_product(g, h):
+    """The direct product's letter columns, generator names and embeddings:
+    element a*m + b is the pair (a, b), and a right factor name that
+    collides is suffixed with _2 until it is new."""
+    n, m = g.size, h.size
+    cols = [[col[a] * m + b for a in range(n) for b in range(m)]
+            for col in g.cols]
+    cols += [[a * m + col[b] for a in range(n) for b in range(m)]
+             for col in h.cols]
+    names = list(g.gen_names)
+    for name in h.gen_names:
+        while name in names:
+            name += "_2"
+        names.append(name)
+    embed = {"embed_left": tuple(a * m for a in range(n)),
+             "embed_right": tuple(range(m))}
+    return cols, tuple(names), embed
+
+
+def per_element_quotient(group, n):
+    """The letter columns of group/n, cosets numbered in order of least
+    member: each element's coset is filled in as the cosets are found."""
+    coset_of = [-1] * group.size
+    reps = []
+    for e in range(group.size):
+        if coset_of[e] != -1:
+            continue
+        for x in n.elements:
+            coset_of[group.mult(x, e)] = len(reps)
+        reps.append(e)
+    cols = []
+    for g in group.generator_elements():
+        fwd = [coset_of[group.mult(r, g)] for r in reps]
+        back = [0] * len(reps)
+        for c, v in enumerate(fwd):
+            back[v] = c
+        cols += [fwd, back]
+    return cols
+
+
+def per_element_sylow_parts(group):
+    """Per prime p dividing |G|, the sorted elements of p-power order."""
+    def is_p_power(k, p):
+        while k % p == 0:
+            k //= p
+        return k == 1
+
+    orders = [naive_order(group, e) for e in range(group.size)]
+    primes = [p for p in range(2, group.size + 1)
+              if group.size % p == 0 and all(p % d for d in range(2, p))]
+    return {p: [e for e, k in enumerate(orders) if is_p_power(k, p)]
+            for p in primes}
+
+
 # -- Frattini coordinates by trial division -----------------------------------
 
 def frattini_coordinates(group, g):

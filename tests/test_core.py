@@ -27,6 +27,7 @@ from baerkit.core import (
     upper_central_series,
 )
 from baerkit.presentation import Word, free_reduce, parse_word
+from baerkit.subnormal import t_n_subgroup
 from baerkit.verify import (
     build_class3_p_group,
     build_group,
@@ -44,6 +45,9 @@ from oracles import (
     naive_lower_central_class,
     naive_order,
     naive_upper_central_series,
+    per_element_direct_product,
+    per_element_quotient,
+    per_element_sylow_parts,
     q8_model,
     s3_model,
 )
@@ -389,8 +393,8 @@ def test_groups_built_from_arrays_and_lists_agree():
         assert _extra_pairs(from_array) > 0
         for name in ("cols", "ext_cols", "shallow_word"):
             assert getattr(from_array, name) == getattr(from_list, name)
-        tree, list_tree = from_array._word_tree, from_list._word_tree
-        assert (tree[0] == list_tree[0]).all() and tree[1:] == list_tree[1:]
+        for a, b in zip(from_array._word_tree, from_list._word_tree):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
@@ -610,6 +614,50 @@ def test_sylow_decomposition_of_c12():
 def test_sylow_decomposition_rejects_non_nilpotent(s3):
     with pytest.raises(GroupError):
         sylow_decomposition(s3)
+
+
+def _factor(request, factor):
+    """A session fixture by name, or the cyclic group of that order."""
+    if isinstance(factor, int):
+        return build_group(cyclic_presentation(factor))
+    return request.getfixturevalue(factor)
+
+
+@pytest.mark.parametrize("name, normal", [
+    pytest.param("d16", center, id="d16-center"),
+    pytest.param("s4", lambda g: normal_closure([g.power(g.gen_element(0), 2)], g),
+                 id="s4-v4"),
+    pytest.param("class3_p3", lambda g: t_n_subgroup(g, 2), id="p3-t2"),
+])
+def test_quotient_matches_the_per_element_cosets(request, name, normal):
+    group = request.getfixturevalue(name)
+    n = normal(group)
+    q = quotient(group, n)
+    assert q.cols == per_element_quotient(group, n)
+    assert (q.gen_names, q.meta) == (group.gen_names, {})
+
+
+@pytest.mark.parametrize("left, right", [
+    pytest.param("q8", "s3", id="q8xs3"),
+    pytest.param("class3_p3", 2, id="p3xc2"),
+])
+def test_direct_product_matches_the_per_element_pairs(request, left, right):
+    g, h = _factor(request, left), _factor(request, right)
+    product = direct_product(g, h)
+    cols, names, embed = per_element_direct_product(g, h)
+    assert product.cols == cols
+    assert product.gen_names == names
+    assert product.meta == {**embed, "factors": (g, h)}
+
+
+@pytest.mark.parametrize("left, right", [
+    pytest.param("class3_p3", 2, id="p3xc2"),
+    pytest.param("q8", 3, id="q8xc3"),
+])
+def test_sylow_parts_are_the_elements_of_prime_power_order(request, left, right):
+    group = direct_product(_factor(request, left), _factor(request, right))
+    parts = [(p, list(sub.elements)) for p, sub in sylow_decomposition(group)]
+    assert parts == list(per_element_sylow_parts(group).items())
 
 
 def test_frattini_subgroup_of_two_groups(d8, q8):

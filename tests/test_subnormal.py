@@ -253,7 +253,6 @@ def test_strict_reading_disagreements_frozen():
 def test_strict_reading_disagreements_in_q8(q8):
     report = classify(q8)
     assert report.strict_reading_disagreements == 6
-    assert report.strict_reading_samples
 
 
 def test_defect_conjugation_invariant(d16):
