@@ -151,26 +151,19 @@ class ConcreteGroup:
     def _drop_memos(self):
         """Empty every memo; __init__ starts them here.
 
-        A Subgroup holds its group, and the subgroup table, _derived,
-        _frattini, _report and _whole hold Subgroups, so a group with
-        filled memos is a reference cycle that only a full pass of the
-        cycle collector frees.  Once they are dropped the group dies with
-        its last outside reference.  Subgroups handed out keep their
-        elements and stay valid, and the memos refill on demand."""
-        # Memos keyed by an argument, each filled by the function named;
-        # a Subgroup argument is keyed by its Subgroup.key.
-        self._nilpotency_class: dict[int, int | None] = {}  # nilpotency_class
-        self._derived: dict[int, Subgroup] = {}  # derived_subgroup
-        self._frattini: dict[int, Subgroup] = {}  # frattini_p_group, by p
-        self._cyclic_defects: dict = {}  # subnormal.cyclic_defect, by <x>
-        self._left_engel: dict = {}  # engel._is_left_engel, by class rep
+        A Subgroup holds its group, and the subgroup table, _memo and
+        _whole hold Subgroups, so a group with filled memos is a reference
+        cycle that only a full pass of the cycle collector frees.  Once
+        they are dropped the group dies with its last outside reference.
+        Subgroups handed out keep their elements and stay valid, and the
+        memos refill on demand."""
+        # Every answer kept by _memoized: per function, then per
+        # Subgroup.key (with the arguments after the group, if any).
+        self._memo: dict = {}
         # The subgroup table, filled by Subgroup.cyclic and _join.
         self._cyclic: list[Subgroup | None] = [None] * self.size  # <x>, per x
         self._subgroups: dict[tuple, Subgroup] = {}  # by element tuple
         self._joins: dict[tuple, Subgroup] = {}  # <H, x>, by (H, <x>) keys
-        # Results computed once per group, each by the function named.
-        self._defect_scan: list | None = None  # subnormal._defect_scan
-        self._report = None  # subnormal.classify
         try:
             del self._whole  # the cached property, once it has been read
         except AttributeError:
@@ -699,6 +692,29 @@ def _as_subgroup(g) -> Subgroup:
     raise GroupError(f"expected a group or subgroup, got {type(g).__name__}")
 
 
+_MISSING = object()
+
+
+def _memoized(fn):
+    """fn(g, *args), computed once per group: the answer is kept in the
+    group's _memo under fn, then under the key of _as_subgroup(g), paired
+    with args when there are any.  So a group and Subgroup.whole(group)
+    share one entry, while fn still receives g itself."""
+    @functools.wraps(fn)
+    def memoized(g, *args):
+        sub = _as_subgroup(g)
+        memo = sub.group._memo
+        table = memo.get(fn)
+        if table is None:
+            table = memo[fn] = {}
+        key = (sub.key, *args) if args else sub.key
+        got = table.get(key, _MISSING)
+        if got is _MISSING:
+            got = table[key] = fn(g, *args)
+        return got
+    return memoized
+
+
 def normal_closure(gens, ambient) -> Subgroup:
     """Smallest subgroup of the ambient containing gens and closed under
     its conjugation.  Conjugating generators by generators suffices: both
@@ -753,29 +769,23 @@ def lower_central_series(g) -> list[Subgroup]:
         [group.comm(a, b) for a in cur.gens for b in sub.gens], sub), 1)
 
 
+@_memoized
 def nilpotency_class(g) -> int | None:
     """Nilpotency class, or None when the series stabilizes above 1."""
-    sub = _as_subgroup(g)
-    memo = sub.group._nilpotency_class
-    if sub.key not in memo:
-        series = lower_central_series(sub)
-        memo[sub.key] = len(series) - 1 if series[-1].size == 1 else None
-    return memo[sub.key]
+    series = lower_central_series(g)
+    return len(series) - 1 if series[-1].size == 1 else None
 
 
 def derived_series(g) -> list[Subgroup]:
     return _series(_as_subgroup(g), derived_subgroup, 1)
 
 
+@_memoized
 def derived_subgroup(g) -> Subgroup:
     sub = _as_subgroup(g)
     group = sub.group
-    got = group._derived.get(sub.key)
-    if got is None:
-        comms = [group.comm(a, b) for a in sub.gens for b in sub.gens]
-        got = normal_closure(comms, sub)
-        group._derived[sub.key] = got
-    return got
+    comms = [group.comm(a, b) for a in sub.gens for b in sub.gens]
+    return normal_closure(comms, sub)
 
 
 def derived_length(g) -> int | None:
@@ -836,21 +846,17 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@_memoized
 def frattini_p_group(group: ConcreteGroup, p: int) -> Subgroup:
     """Frattini subgroup of a finite p-group: the normal closure of the
     generator commutators together with generator p-th powers."""
-    cached = group._frattini.get(p)
-    if cached is not None:
-        return cached
     facs = factorize(group.size)
     if group.size > 1 and (len(facs) != 1 or p not in facs):
         raise GroupError(f"group order {group.size} is not a power of {p}")
     gens = group.generator_elements()
     cand = [group.comm(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
     cand += [group.power(a, p) for a in gens]
-    sub = normal_closure(cand, group)
-    group._frattini[p] = sub
-    return sub
+    return normal_closure(cand, group)
 
 
 def sylow_decomposition(group: ConcreteGroup) -> list[tuple[int, Subgroup]]:

@@ -7,11 +7,8 @@ fixed y with the one BFS-tree fill of core (ConcreteGroup._along_tree);
 applying that table n times computes [x, n*y] for every x at once, so
 Engel conditions reduce to a few vectorized passes per y.  A group of
 nilpotency class c is n-Engel for every n >= c, so such questions are
-answered from the (memoized) class with no table at all.  Below the
-class, the least n with [x, n*y] = 1 for every x (y's left-Engel length)
-is a class invariant, kept per class representative on the group, so
-left-Engel questions about one group share their tables whatever n they
-ask.
+answered from the (memoized) class with no table at all; below the
+class, each question iterates y's table afresh.
 
 The identity checks and engel_bracket run on core's batched arithmetic
 (ConcreteGroup.mult_batch and friends) over all input tuples at once; a
@@ -110,38 +107,20 @@ def engel_bracket(group: ConcreteGroup, x, y, n: int):
     return x
 
 
-def _iterated(perm: np.ndarray, n: int) -> np.ndarray:
-    """perm applied n times, pointwise."""
-    cur = perm
-    for _ in range(n - 1):
-        cur = perm[cur]
-    return cur
+def _left_engel_witness(group: ConcreteGroup, y: int, n: int) -> int | None:
+    """The least g with [g, n*y] != 1, or None when y is left n-Engel.
 
-
-def _is_left_engel(group: ConcreteGroup, x: int, n: int) -> bool:
-    """Whether [g, n*x] = 1 for every g, from the group's nilpotency class
-    or through its memo of left-Engel lengths.
-
-    In a group of class c <= n, [g, n*x] lies in gamma_(n+1)(G) = 1, so
-    the (memoized) class answers with no table and no memo entry.
-    Otherwise the memo is kept per class representative, since the length
-    is conjugation invariant: [g, n*(x^h)] = [g^(h^-1), n*x]^h.  An entry
-    (k, True) says k is the least such n, which answers every n; an
-    entry (k, False) says some [g, k*x] is not 1, which answers only
-    n <= k.  Anything else iterates a fresh bracket table up to n."""
+    In a group of class c <= n, [g, n*y] lies in gamma_(n+1)(G) = 1, so
+    the (memoized) class answers with no table.  Otherwise y's bracket
+    table, applied n times, gives [g, n*y] for every g at once."""
     cls = nilpotency_class(group)
     if cls is not None and cls <= n:
-        return True
-    r = group._class_rep[x]
-    k, exact = group._left_engel.get(r, (0, False))
-    if not exact and k < n:
-        perm = group.comm_with_perm(r)
-        cur, k = perm, 1
-        while k < n and cur.any():
-            cur, k = perm[cur], k + 1
-        exact = not cur.any()
-        group._left_engel[r] = (k, exact)
-    return exact and k <= n
+        return None
+    perm = cur = group.comm_with_perm(y)
+    for _ in range(n - 1):
+        cur = perm[cur]
+    bad = np.flatnonzero(cur)
+    return int(bad[0]) if bad.size else None
 
 
 def is_left_n_engel(group: ConcreteGroup, x: int, n: int) -> EngelReport:
@@ -153,27 +132,27 @@ def is_left_n_engel(group: ConcreteGroup, x: int, n: int) -> EngelReport:
     if n < 1:
         raise GroupError("n must be at least 1")
     subject = str(group.element_word(x))
-    if _is_left_engel(group, x, n):
+    g = _left_engel_witness(group, x, n)
+    if g is None:
         return EngelReport("left", n, True, subject)
-    g = int(np.flatnonzero(_iterated(group.comm_with_perm(x), n))[0])
-    witness = (str(group.element_word(g)), subject)
-    return EngelReport("left", n, False, subject, witness)
+    return EngelReport("left", n, False, subject,
+                       (str(group.element_word(g)), subject))
 
 
 def is_n_engel_group(group: ConcreteGroup, n: int) -> EngelReport:
     """Whether [x, y, ..., y] = 1 (n copies of y) for all x and y.
 
     A group of nilpotency class at most n holds with no bracket table
-    (see _is_left_engel).  Otherwise y runs over class representatives
-    only, which decides the same question: [x, n*(y^h)] =
-    [x^(h^-1), n*y]^h and x^(h^-1) ranges over the whole group as x
+    (see _left_engel_witness).  Otherwise y runs over class
+    representatives only, which decides the same question: [x, n*(y^h)]
+    = [x^(h^-1), n*y]^h and x^(h^-1) ranges over the whole group as x
     does; the witness of a failure is the least failing x for the first
     failing representative."""
     if n < 1:
         raise GroupError("n must be at least 1")
     for y in group.class_reps():
-        if not _is_left_engel(group, y, n):
-            x = int(np.flatnonzero(_iterated(group.comm_with_perm(y), n))[0])
+        x = _left_engel_witness(group, y, n)
+        if x is not None:
             witness = (str(group.element_word(x)), str(group.element_word(y)))
             return EngelReport("group", n, False, witness=witness)
     return EngelReport("group", n, True)

@@ -31,6 +31,7 @@ from .core import (
     nilpotency_class,
     normal_closure,
     _as_subgroup,
+    _memoized,
     _series,
 )
 
@@ -101,12 +102,13 @@ def cyclic_defect(group: ConcreteGroup, x: int) -> DefectResult:
     Subgroup.generated answers <x> from the group's subgroup table, so
     <x> is closed at most once, however many of its generators are asked
     about, and every answer carries the one canonical key."""
-    sub = Subgroup.generated(group, [x])
-    got = group._cyclic_defects.get(sub.key)
-    if got is None:
-        got = defect(sub, group)
-        group._cyclic_defects[sub.key] = got
-    return got
+    return _whole_defect(Subgroup.generated(group, [x]))
+
+
+@_memoized
+def _whole_defect(h: Subgroup) -> DefectResult:
+    """Defect of h in its whole group."""
+    return defect(h, h.group)
 
 
 def is_n_subnormal(group: ConcreteGroup, x: int, n: int) -> bool:
@@ -115,16 +117,15 @@ def is_n_subnormal(group: ConcreteGroup, x: int, n: int) -> bool:
     return cyclic_defect(group, group._class_rep[x]).within(n)
 
 
+@_memoized
 def _defect_scan(group: ConcreteGroup) -> list[tuple[int, int, DefectResult]]:
     """(class representative, class size, defect of <rep>) per class.
 
     Representatives cover every element up to conjugacy and defects are
     conjugation invariant, so this scan determines T_n membership and
     per-element defect statistics for the entire group."""
-    if group._defect_scan is None:
-        group._defect_scan = [(cl[0], len(cl), cyclic_defect(group, cl[0]))
-                              for cl in group.conjugacy_classes()]
-    return group._defect_scan
+    return [(cl[0], len(cl), cyclic_defect(group, cl[0]))
+            for cl in group.conjugacy_classes()]
 
 
 def t_n_subgroup(group: ConcreteGroup, n: int) -> Subgroup:
@@ -278,6 +279,7 @@ def _quotient_is_simple(group: ConcreteGroup, h: Subgroup) -> bool:
     return True
 
 
+@_memoized
 def classify(group: ConcreteGroup) -> ClassificationReport:
     """Order, series data, T_2, and the three-way classification.
 
@@ -287,8 +289,6 @@ def classify(group: ConcreteGroup) -> ClassificationReport:
     where the quotient by the cyclic subgroup is simple (no strictly
     intermediate normal term exists).  Defects equal to 2 always admit a
     strict chain, so nothing else can differ at n = 2."""
-    if group._report is not None:
-        return group._report
     t2 = t_n_subgroup(group, 2)
     hist: dict[str, int] = {}
     disagree = 0
@@ -307,7 +307,7 @@ def classify(group: ConcreteGroup) -> ClassificationReport:
         cls = GENERALIZED_T2
     else:
         cls = NOT_GENERALIZED_BAER2
-    report = ClassificationReport(
+    return ClassificationReport(
         order=order,
         nilpotency_class=nilpotency_class(group),
         derived_length=derived_length(group),
@@ -318,5 +318,3 @@ def classify(group: ConcreteGroup) -> ClassificationReport:
         strict_reading_disagreements=disagree,
         t2=t2,
     )
-    group._report = report
-    return report

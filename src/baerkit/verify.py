@@ -37,7 +37,7 @@ from .coset import DEFAULT_MAX_COSETS, enumerate_cosets, to_group
 from .engel import (
     EXPANSION_EXHAUSTIVE_ORDER,
     _inputs,
-    _is_left_engel,
+    _left_engel_witness,
     _pair_words,
     check_expansion_formula,
     check_metabelian_identities,
@@ -256,18 +256,20 @@ def _frattini_labels(group: ConcreteGroup, p: int):
 
     G/Φ(G) is C_p × C_p on the images of x and y, so any word for g gives
     g's coordinates.  The elements labelled (0, 0) must be exactly the
-    Frattini subgroup, so every element has exactly one pair."""
+    Frattini subgroup, so every element has exactly one pair.  The pair
+    is filled along the tree as the code m*p + n, each letter x^±1, y^±1
+    stepping m or n by ±1 mod p."""
     frat = frattini_p_group(group, p)
     if group.ngens != 2 or group.size != p * p * frat.size:
         raise GroupError("G/Φ(G) is not C_p × C_p on the two generators")
-    step = np.array([[1, 0], [p - 1, 0], [0, 1], [0, p - 1]])
-    labels = np.zeros((group.size, 2), dtype=np.int64)
-    for l, parents, children in group._tree:
-        labels[children] = (labels[parents] + step[l]) % p
-    if not np.array_equal(np.flatnonzero(~labels.any(axis=1)), frat.elements):
+    m, n = np.divmod(np.arange(p * p), p)
+    steps = [(m + 1) % p * p + n, (m - 1) % p * p + n,
+             m * p + (n + 1) % p, m * p + (n - 1) % p]
+    labels = group._along_tree(0, steps)
+    if not np.array_equal(np.flatnonzero(labels == 0), frat.elements):
         raise GroupError("the elements labelled (0, 0) are not the "
                          "Frattini subgroup")
-    return labels[:, 0], labels[:, 1]
+    return np.divmod(labels, p)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +434,7 @@ def check_cyclic_closure_class(
         if r not in per_class:
             ncl = normal_closure([r], group)
             per_class[r] = (ncl.size, nilpotency_class(ncl),
-                            _is_left_engel(group, r, 3))
+                            _left_engel_witness(group, r, 3) is None)
         size, cls, engel = per_class[r]
         if cls is None or cls > 2:
             return _verdict(cid, False,
@@ -566,14 +568,14 @@ def check_solubility_and_engel(group: ConcreteGroup, *,
     rng = random.Random(seed)
     type_counts = {}
     for d, bound, trials in ((2, 6, 20), (5, 12, 10)):
-        for _ in range(trials):
+        for count in range(1, trials + 1):
             gens = [rng.randrange(group.size) for _ in range(d)]
             cls = nilpotency_class(Subgroup.generated(group, gens))
             if cls is None or cls > bound:
                 failures.append(
                     f"{d}-generator subgroup of class {cls} exceeds {bound}")
                 break
-        type_counts[str(d)] = {"bound": bound, "count": trials}
+        type_counts[str(d)] = {"bound": bound, "count": count}
     details = {"derived_length": dl, "engel": 6, "types": type_counts,
                "seed": seed}
     if failures:

@@ -7,7 +7,14 @@ from dataclasses import replace
 
 import pytest
 
-from baerkit.core import Subgroup, _join, derived_subgroup, nilpotency_class
+from baerkit import core
+from baerkit.core import (
+    Subgroup,
+    _join,
+    derived_subgroup,
+    frattini_p_group,
+    nilpotency_class,
+)
 from baerkit.subnormal import (
     ClassificationReport,
     classify,
@@ -47,6 +54,28 @@ def test_classify_is_memoized_and_carries_t2():
     assert report.t2.elements == t_n_subgroup(group, 2).elements
     assert "t2" not in report.to_json_dict()
     assert "t2=" not in repr(report)
+
+
+def test_memoized_answers_are_computed_once_per_group(monkeypatch):
+    # A group and Subgroup.whole(group) share one entry: the class is
+    # computed once, from one lower central series, whichever is asked.
+    series = []
+    real = core.lower_central_series
+    monkeypatch.setattr(core, "lower_central_series",
+                        lambda g: series.append(g) or real(g))
+    group = build_class3_p_group(2)
+    whole = Subgroup.whole(group)
+    assert nilpotency_class(group) == 3
+    assert nilpotency_class(whole) == 3
+    assert nilpotency_class(group) == 3
+    assert series == [group]
+    derived = derived_subgroup(group)
+    assert derived_subgroup(whole) is derived
+    frattini = frattini_p_group(group, 2)
+    assert frattini_p_group(group, 2) is frattini
+    report = classify(group)
+    assert classify(group) is report
+    assert len(series) == 1
 
 
 def test_corpus_group_is_collected_once_dropped():
@@ -116,7 +145,7 @@ def test_dropped_memos_match_a_fresh_group(name):
     for g, f in zip((group, *group.meta.get("factors", ())),
                     (fresh, *fresh.meta.get("factors", ()))):
         memos = set(vars(f)) - _CONSTRUCTION
-        assert memos >= {"_subgroups", "_joins", "_cyclic", "_report"}
+        assert memos >= {"_subgroups", "_joins", "_cyclic", "_memo"}
         for key in memos:
             assert getattr(g, key) == getattr(f, key), key
         assert "_whole" not in vars(g)

@@ -258,6 +258,26 @@ def test_exhaustive_threshold_leaves_the_engel_tests_alone(class3_p3):
     assert statuses == ["pass", "pass"]
 
 
+def test_solubility_check_counts_the_subgroups_it_checked(monkeypatch,
+                                                          class3_p2):
+    # The 2-generator loop stops at its first failing subgroup, the third
+    # drawn, and reports three checked, not the twenty it would draw.
+    calls = []
+    real = verify.nilpotency_class
+
+    def third_fails(sub):
+        calls.append(sub)
+        return None if len(calls) == 3 else real(sub)
+
+    monkeypatch.setattr(verify, "nilpotency_class", third_fails)
+    check = verify.check_solubility_and_engel(class3_p2, seed=1)
+    assert check.status == "fail"
+    assert check.details["failures"] == [
+        "2-generator subgroup of class None exceeds 6"]
+    assert check.details["types"] == {"2": {"bound": 6, "count": 3},
+                                      "5": {"bound": 12, "count": 10}}
+
+
 def test_exhaustive_threshold_reaches_generated_subgroup_class(class4_group):
     entry = CorpusEntry("class4-2group", build_class4_2group)
     for threshold, mode, count in ((2048, "exhaustive", 128),
@@ -340,7 +360,8 @@ def test_congruence_check_names_the_first_failing_identity(monkeypatch):
     assert check.witness == str(group.element_word(g))
 
 
-def test_congruence_check_names_the_first_element_breaking_the_rule():
+def test_congruence_check_names_the_first_element_breaking_the_rule(
+        monkeypatch):
     # The scan may represent a class by any member.  With one class's
     # defect corrupted and its last member as the representative, the
     # check still names the class's first element in index order, with
@@ -353,7 +374,8 @@ def test_congruence_check_names_the_first_element_breaking_the_rule():
     _, size, res = scan[i]
     wrong = DefectResult(3 if res.within(2) else 1)
     scan[i] = (cl[-1], size, wrong)
-    group._defect_scan = scan
+    monkeypatch.setattr(verify, "_defect_scan",
+                        lambda g: scan if g is group else _defect_scan(g))
     m, n = frattini_coordinates(group, cl[0])
     check = verify.check_congruence_subnormality(group)
     assert check.status == "fail"
